@@ -11,6 +11,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import phy
+from .kernel import us_from_s
 from .topology import ClusterGeometry
 
 
@@ -51,7 +52,6 @@ class RunConfig:
     sensing_interval_s: float | None = None  # None: half the per-SF airtime
     offered_load: float = 1.0  # Poisson G, packets per packet-time
     duty_cycle_enforce: bool = False
-    capture_effect: bool = False
     device_file: str | None = None
 
     def radio_params(self) -> phy.RadioParams:
@@ -96,8 +96,9 @@ class RunConfig:
             raise ConfigError(f"mac must be pcsma or aloha, got {self.mac!r}")
         if self.traffic not in ("periodic", "poisson"):
             raise ConfigError(f"traffic must be periodic or poisson, got {self.traffic!r}")
-        if not self.period_set_s or any(t <= 0 for t in self.period_set_s):
-            raise ConfigError("period_set_s must be non-empty with positive periods")
+        # A duration that rounds to 0 us would reschedule at the same tick forever.
+        if not self.period_set_s or any(us_from_s(t) < 1 for t in self.period_set_s):
+            raise ConfigError("period_set_s must be non-empty with periods of at least 1 us")
         if not self.sf_set:
             raise ConfigError("sf_set must be non-empty")
         if len(set(self.sf_set)) != len(self.sf_set):
@@ -121,21 +122,25 @@ class RunConfig:
             raise ConfigError(f"offsets must be zero or uniform, got {self.offsets!r}")
         if self.low_data_rate_optimize not in ("auto", "on", "off"):
             raise ConfigError("low_data_rate_optimize must be auto, on, or off")
-        if self.sensing_interval_s is not None and self.sensing_interval_s <= 0:
-            raise ConfigError("sensing_interval_s must be positive (or auto)")
+        if self.sensing_interval_s is not None and us_from_s(self.sensing_interval_s) < 1:
+            raise ConfigError("sensing_interval_s must be at least 1 us (or auto)")
         if self.shadowing_sigma_db < 0:
             raise ConfigError("shadowing_sigma_db must be >= 0")
+        try:
+            radio = self.radio_params()
+        except ValueError as exc:
+            raise ConfigError(f"radio parameters: {exc}") from None
         if self.traffic == "poisson":
             if self.offered_load <= 0:
                 raise ConfigError("offered_load must be positive for poisson traffic")
             if len(self.sf_set) != 1:
                 raise ConfigError("poisson traffic needs a single-SF sf_set (one packet-time)")
-        if self.capture_effect:
-            raise ConfigError("capture_effect is reserved and must stay false")
-        try:
-            self.radio_params()
-        except ValueError as exc:
-            raise ConfigError(f"radio parameters: {exc}") from None
+            mean_gap_s = phy.time_on_air(self.sf_set[0], radio) / self.offered_load
+            if us_from_s(mean_gap_s) < 1:
+                raise ConfigError(
+                    f"offered_load {self.offered_load:g} makes the mean Poisson gap "
+                    f"{mean_gap_s:.3g} s, below 1 us"
+                )
         try:
             self.loss_params()
         except ValueError as exc:
@@ -267,7 +272,6 @@ _SCENARIO_KEYS = {
     "sensing_interval_s": _parse_sensing,
     "offered_load": _parse_float,
     "duty_cycle_enforce": _parse_bool,
-    "capture_effect": _parse_bool,
     "device_file": lambda value, key, lineno: value,
 }
 

@@ -22,26 +22,21 @@ def us_from_s(seconds: float) -> int:
     return round(seconds * US_PER_S)
 
 
-def s_from_us(ticks: int) -> float:
-    return ticks / US_PER_S
-
-
 class Scheduler:
     """Event queue ordered by (fire time, insertion sequence).
 
-    The sequence counter breaks ties FIFO and doubles as the event id
-    returned by :meth:`schedule`.
+    Each entry is an immutable ``(at_us, seq, fn, args)`` tuple; the
+    sequence counter breaks ties FIFO.
     """
 
     def __init__(self) -> None:
         self.now_us = 0
-        self._heap: list[list] = []
-        self._pending: dict[int, list] = {}
+        self._heap: list[tuple] = []
         self._seq = 0
         self.executed = 0
 
-    def schedule(self, at_us: int, fn: Callable, *args) -> int:
-        """Enqueue ``fn(*args)`` to run at ``at_us``; returns an event id.
+    def schedule(self, at_us: int, fn: Callable, *args) -> None:
+        """Enqueue ``fn(*args)`` to run at ``at_us``.
 
         Scheduling in the past is a logic bug, not a recoverable condition.
         """
@@ -50,21 +45,10 @@ class Scheduler:
                 f"cannot schedule event at {at_us} us: clock is at {self.now_us} us"
             )
         self._seq += 1
-        entry = [at_us, self._seq, fn, args]
-        self._pending[self._seq] = entry
-        heapq.heappush(self._heap, entry)
-        return self._seq
+        heapq.heappush(self._heap, (at_us, self._seq, fn, args))
 
-    def schedule_in(self, delay_us: int, fn: Callable, *args) -> int:
-        return self.schedule(self.now_us + delay_us, fn, *args)
-
-    def cancel(self, event_id: int) -> bool:
-        """True iff the event existed and had not fired; it will never run."""
-        entry = self._pending.pop(event_id, None)
-        if entry is None:
-            return False
-        entry[2] = None
-        return True
+    def schedule_in(self, delay_us: int, fn: Callable, *args) -> None:
+        self.schedule(self.now_us + delay_us, fn, *args)
 
     def run_until(self, until_us: int) -> int:
         """Execute all events with fire time <= ``until_us`` in order.
@@ -75,10 +59,7 @@ class Scheduler:
         heap = self._heap
         executed = 0
         while heap and heap[0][0] <= until_us:
-            at_us, seq, fn, args = heapq.heappop(heap)
-            if fn is None:  # cancelled
-                continue
-            del self._pending[seq]
+            at_us, _, fn, args = heapq.heappop(heap)
             self.now_us = at_us
             fn(*args)
             executed += 1

@@ -69,25 +69,17 @@ class ChannelStateArray:
 
 
 class PersistenceTable:
-    """Per-device p-values in (0, 1]; updates apply from the next draw."""
+    """Per-device p-values in (0, 1]."""
 
     def __init__(self, values: list[float]) -> None:
         self.values = []
-        for i, p in enumerate(values):
-            self._check(p, i)
+        for device, p in enumerate(values):
+            if not 0.0 < p <= 1.0:
+                raise ValueError(f"persistence for device {device} must be in (0, 1], got {p}")
             self.values.append(float(p))
-
-    @staticmethod
-    def _check(p: float, device: int) -> None:
-        if not 0.0 < p <= 1.0:
-            raise ValueError(f"persistence for device {device} must be in (0, 1], got {p}")
 
     def get(self, device: int) -> float:
         return self.values[device]
-
-    def update(self, device: int, p: float) -> None:
-        self._check(p, device)
-        self.values[device] = float(p)
 
 
 def shall_it_pass(device: int, table: PersistenceTable, rng: RngStream) -> bool:
@@ -135,8 +127,6 @@ class PcsmaMac:
 
         self.phase = [Phase.IDLE] * n
         self.in_flight: list = [None] * n
-        self.generated_per_device = [0] * n
-        self.suppressed_per_device = [0] * n
         self._duty_log: list[list[tuple[int, int]]] = [[] for _ in range(n)]
 
     # -- sensing ---------------------------------------------------------
@@ -153,54 +143,37 @@ class PcsmaMac:
                 return True
         return False
 
-    # -- generation entry points -----------------------------------------
+    # -- generation entry point --------------------------------------------
 
     def generate(self, device: int) -> None:
-        if self.aloha:
-            self.aloha_on_generate(device)
-        else:
-            self.on_generate(device)
+        """Periodic firing (or traffic arrival).
 
-    def on_generate(self, device: int) -> None:
-        """Periodic firing (or traffic arrival) under p-CSMA."""
-        if self._count_or_suppress(device):
-            return
-        if self.sense(device):
-            self.phase[device] = Phase.BACKOFF
-            self.sched.schedule_in(self.sense_us[device], self.retry_claiming, device)
-        else:
-            # First attempt on an idle channel transmits unconditionally;
-            # persistence gates only reclaim attempts.
-            self._start_transmission(device)
-
-    def aloha_on_generate(self, device: int) -> None:
-        """ALOHA baseline: no sensing, no persistence, transmit directly."""
-        if self._count_or_suppress(device):
-            return
-        self._start_transmission(device)
-
-    def _count_or_suppress(self, device: int) -> bool:
+        The ALOHA baseline transmits directly.  Under p-CSMA the first
+        attempt on an idle channel transmits unconditionally; a busy channel
+        starts a back-off, and persistence gates only the reclaim attempts.
+        """
         self.counters.generated += 1
-        self.generated_per_device[device] += 1
         if self.phase[device] != Phase.IDLE:
             # One pending packet per device: drop the new one, keep the clock.
             self.counters.suppressed += 1
-            self.suppressed_per_device[device] += 1
             self._schedule_next_generation(device)
-            return True
-        return False
+        elif not self.aloha and self.sense(device):
+            self.phase[device] = Phase.BACKOFF
+            self.sched.schedule_in(self.sense_us[device], self.retry_claiming, device)
+        else:
+            self._start_transmission(device)
 
     # -- back-off / reclaim ----------------------------------------------
 
     def retry_claiming(self, device: int) -> None:
-        """Re-sense after one sensing interval; reclaim gated by persistence."""
-        if self.sense(device):
-            self.sched.schedule_in(self.sense_us[device], self.retry_claiming, device)
-            return
-        if shall_it_pass(device, self.ptable, self.rng):
+        """Re-sense after one sensing interval; reclaim gated by persistence.
+
+        A busy channel or a failed draw waits one more sensing interval; the
+        persistence draw happens only when the channel is idle.
+        """
+        if not self.sense(device) and shall_it_pass(device, self.ptable, self.rng):
             self._start_transmission(device)
         else:
-            # Failed draw: wait one sensing interval, then sense and redraw.
             self.sched.schedule_in(self.sense_us[device], self.retry_claiming, device)
 
     # -- transmission ------------------------------------------------------
@@ -209,7 +182,6 @@ class PcsmaMac:
         now = self.sched.now_us
         if self.duty_cycle_enforce and self._duty_exceeded(device, now):
             self.counters.suppressed += 1
-            self.suppressed_per_device[device] += 1
             self.phase[device] = Phase.IDLE
             self._schedule_next_generation(device)
             return
@@ -249,8 +221,3 @@ class PcsmaMac:
         self._duty_log[device] = log
         used = sum(d for _, d in log)
         return used + self.toa_us[device] > DUTY_CYCLE_LIMIT * DUTY_WINDOW_US
-
-
-def create_channel_state(n_devices: int) -> ChannelStateArray:
-    """All flags start idle."""
-    return ChannelStateArray(n_devices)

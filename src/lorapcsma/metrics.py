@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 RESULT_COLUMNS = [
@@ -47,8 +47,6 @@ class Counters:
     under_sensitivity: int = 0
     no_path: int = 0
     pending_at_end: int = 0
-    per_sf: dict = field(default_factory=dict)
-    per_area: dict = field(default_factory=dict)
 
     def check(self) -> None:
         if self.sent != self.received + self.collided + self.under_sensitivity + self.no_path:

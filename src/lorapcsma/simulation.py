@@ -20,8 +20,6 @@ STREAM_TRAFFIC = "traffic"
 STREAM_PERSISTENCE = "persistence"
 STREAM_SHADOWING = "shadowing"
 
-_OUTCOME_FIELDS = ("sent", "received", "collided", "under_sensitivity", "no_path")
-
 
 @dataclass
 class RunAudit:
@@ -39,7 +37,6 @@ class RunResult:
     audit: RunAudit
     devices: list[topology.DeviceSpec]
     vicinity: np.ndarray
-    areas: list[int]
     seed: int
     config: RunConfig | None = field(repr=False, default=None)
 
@@ -67,8 +64,7 @@ def build_topology(cfg: RunConfig, streams: RngStreams) -> topology.Topology:
                     f"({rx:.1f} dBm); geometry leaves it out of coverage"
                 )
     vicinity = topology.build_vicinity(devices, loss, table)
-    areas = topology.device_areas(cfg.n_devices, cfg.n_areas)
-    return topology.Topology(devices=devices, vicinity=vicinity, areas=areas, prx_dbm=prx)
+    return topology.Topology(devices=devices, vicinity=vicinity, prx_dbm=prx)
 
 
 def file_topology(cfg: RunConfig) -> topology.Topology:
@@ -81,7 +77,7 @@ def file_topology(cfg: RunConfig) -> topology.Topology:
     table = cfg.sensitivity_table()
     vicinity = topology.build_vicinity(devices, loss, table)
     prx = topology.gateway_rx_dbm(devices, loss)
-    return topology.Topology(devices=devices, vicinity=vicinity, areas=[0] * len(devices), prx_dbm=prx)
+    return topology.Topology(devices=devices, vicinity=vicinity, prx_dbm=prx)
 
 
 class Simulation:
@@ -93,7 +89,6 @@ class Simulation:
         devices: list[topology.DeviceSpec],
         vicinity: np.ndarray,
         *,
-        areas: list[int] | None = None,
         prx_dbm: list[float] | None = None,
         seed: int | None = None,
         offsets_s: list[float] | None = None,
@@ -101,7 +96,6 @@ class Simulation:
         self.cfg = cfg
         self.devices = devices
         self.vicinity = vicinity
-        self.areas = areas if areas is not None else [0] * len(devices)
         self.seed = cfg.seed if seed is None else seed
         self.offsets_s = offsets_s
         self.streams = RngStreams(self.seed)
@@ -197,7 +191,6 @@ class Simulation:
             if phase == Phase.TRANSMITTING:
                 self.gateway.abort(self.mac.in_flight[i])
 
-        self._fill_breakdowns()
         self.counters.check()
         audit = RunAudit(
             book_count=self.channel.book_count,
@@ -212,31 +205,9 @@ class Simulation:
             audit=audit,
             devices=self.devices,
             vicinity=self.vicinity,
-            areas=self.areas,
             seed=self.seed,
             config=self.cfg,
         )
-
-    def _fill_breakdowns(self) -> None:
-        def bucket() -> dict:
-            return {"generated": 0, "suppressed": 0} | {f: 0 for f in _OUTCOME_FIELDS}
-
-        per_sf: dict[int, dict] = {}
-        per_area: dict[int, dict] = {}
-        for i, dev in enumerate(self.devices):
-            for key, table in ((dev.sf, per_sf), (self.areas[i], per_area)):
-                b = table.setdefault(key, bucket())
-                b["generated"] += self.mac.generated_per_device[i]
-                b["suppressed"] += self.mac.suppressed_per_device[i]
-        for rec in self.records:
-            if rec.outcome is None:
-                continue
-            for key, table in ((rec.sf, per_sf), (self.areas[rec.device], per_area)):
-                b = table.setdefault(key, bucket())
-                b["sent"] += 1
-                b[rec.outcome.value] += 1
-        self.counters.per_sf = per_sf
-        self.counters.per_area = per_area
 
 
 def run_scenario(cfg: RunConfig, seed: int | None = None) -> RunResult:
@@ -251,7 +222,6 @@ def run_scenario(cfg: RunConfig, seed: int | None = None) -> RunResult:
         cfg,
         topo.devices,
         topo.vicinity,
-        areas=topo.areas,
         prx_dbm=topo.prx_dbm,
         seed=effective_seed,
     )

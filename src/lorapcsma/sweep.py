@@ -55,23 +55,26 @@ def scenario_name(n_devices: int, sf_set, p, n_areas: int) -> str:
 def run_sweep(base_cfg: RunConfig, grid: SweepGrid) -> list[dict]:
     """Cartesian product of grid cells x seeds, one independent run each.
 
-    Appends a mean and a population-stddev summary row of prr_generated per
+    Every cell is validated before the first run.  Appends a mean and a population-stddev summary row of prr_generated per
     cell (seed column ``mean``/``stddev``).
     """
     device_counts = grid.device_counts or (base_cfg.n_devices,)
     p_values = grid.p_values or (base_cfg.p,)
     sf_sets = grid.sf_sets or (base_cfg.sf_set,)
     n_areas_values = grid.n_areas_values or (base_cfg.n_areas,)
-    rows: list[dict] = []
-    for n_devices, sf_set, p, n_areas in product(
-        device_counts, sf_sets, p_values, n_areas_values
-    ):
-        cfg = replace(
-            base_cfg, n_devices=n_devices, sf_set=sf_set, p=p, n_areas=n_areas
+    cells = [
+        replace(base_cfg, n_devices=n_devices, sf_set=sf_set, p=p, n_areas=n_areas)
+        for n_devices, sf_set, p, n_areas in product(
+            device_counts, sf_sets, p_values, n_areas_values
         )
-        name = scenario_name(n_devices, sf_set, p, n_areas)
+    ]
+    # A bad cell fails the sweep before any run, not after the cells before it.
+    for cfg in cells:
+        cfg.validate()
+    rows: list[dict] = []
+    for cfg in cells:
+        name = scenario_name(cfg.n_devices, cfg.sf_set, cfg.p, cfg.n_areas)
         prrs = []
-        summary_cfg = cfg
         for seed in grid.seeds:
             result = run_scenario(cfg, seed=seed)
             row = result_row(name, seed, cfg, result.counters)
@@ -86,12 +89,12 @@ def run_sweep(base_cfg: RunConfig, grid: SweepGrid) -> list[dict]:
                 {
                     "scenario": name,
                     "seed": label,
-                    "mac": summary_cfg.mac,
-                    "n_devices": n_devices,
-                    "sf_set": _fmt_set(sf_set),
-                    "p": _fmt_p(p),
-                    "n_areas": n_areas,
-                    "period_set": _fmt_set(summary_cfg.period_set_s),
+                    "mac": cfg.mac,
+                    "n_devices": cfg.n_devices,
+                    "sf_set": _fmt_set(cfg.sf_set),
+                    "p": _fmt_p(cfg.p),
+                    "n_areas": cfg.n_areas,
+                    "period_set": _fmt_set(cfg.period_set_s),
                     "prr_generated": value,
                 }
             )

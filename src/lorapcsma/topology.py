@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from . import phy
-from .kernel import RngStream
+from .kernel import RngStream, us_from_s
 
 
 class GeometryError(ValueError):
@@ -241,8 +241,8 @@ def load_device_file(
             raise ValueError(f"{path}:{lineno}: spreading factor {sf} out of range")
         if not 0.0 < p <= 1.0:
             raise ValueError(f"{path}:{lineno}: persistence {p} not in (0, 1]")
-        if period_s <= 0:
-            raise ValueError(f"{path}:{lineno}: period must be positive")
+        if us_from_s(period_s) < 1:
+            raise ValueError(f"{path}:{lineno}: period must be at least 1 us")
         if dev_id in rows:
             raise ValueError(f"{path}:{lineno}: duplicate device id {dev_id}")
         rows[dev_id] = DeviceSpec(dev_id, x, y, z, sf, tx_power_dbm, period_s, p)
@@ -255,5 +255,4 @@ def load_device_file(
 class Topology:
     devices: list[DeviceSpec]
     vicinity: np.ndarray
-    areas: list[int]
     prx_dbm: list[float] = field(default_factory=list)

@@ -74,7 +74,7 @@ def test_c04_hidden_pair_determinism():
 
     topo = build_topology(cfg, RngStreams(3))
     staggered_sim = Simulation(
-        cfg, topo.devices, topo.vicinity, areas=topo.areas, prx_dbm=topo.prx_dbm,
+        cfg, topo.devices, topo.vicinity, prx_dbm=topo.prx_dbm,
         offsets_s=[0.0, 1.0],  # one full second >> one ToA (0.103 s)
     )
     staggered = staggered_sim.run()

@@ -63,9 +63,13 @@ def test_duplicate_key_rejected():
         ("n_devices = 10\nsim_time_s = -1\n", "sim_time_s"),
         ("n_devices = 10\ntraffic = poisson\nsf_set = {8,9}\n", "single-SF"),
         ("n_devices = 10\ntraffic = poisson\noffered_load = 0\n", "offered_load"),
-        ("n_devices = 10\ncapture_effect = true\n", "reserved"),
+        ("n_devices = 10\ncapture_effect = true\n", "unknown key"),
         ("n_devices = 10\ngateway_paths = 0\n", "gateway_paths"),
         ("n_devices = 3\np = {0.5, 0.5}\n", "per-device"),
+        # Durations that round to 0 us would livelock the event loop.
+        ("n_devices = 10\nperiod_set_s = {1e-7}\n", "period_set_s"),
+        ("n_devices = 10\nsensing_interval_s = 1e-7\n", "sensing_interval_s"),
+        ("n_devices = 10\ntraffic = poisson\noffered_load = 1e9\n", "offered_load"),
     ],
 )
 def test_invalid_values_are_named_errors(doc, match):

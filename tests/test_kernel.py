@@ -1,4 +1,4 @@
-"""Event queue ordering, cancellation, and RNG stream contracts."""
+"""Event queue ordering and RNG stream contracts."""
 
 import numpy as np
 import pytest
@@ -48,20 +48,6 @@ def test_large_random_schedule_executes_in_time_seq_order():
     assert executed == sorted(scheduled)
     # clock never decreased
     assert all(a[0] <= b[0] for a, b in zip(executed, executed[1:]))
-
-
-def test_cancel_semantics():
-    sched = Scheduler()
-    hits = []
-    fired = sched.schedule(1, hits.append, "fired")
-    pending = sched.schedule(10, hits.append, "never")
-    sched.run_until(5)
-    assert sched.cancel(fired) is False
-    assert sched.cancel(pending) is True
-    assert sched.cancel(pending) is False
-    assert sched.cancel(999_999) is False
-    sched.run_until(20)
-    assert hits == ["fired"]
 
 
 def test_run_until_boundaries():

@@ -5,7 +5,7 @@ import pytest
 from conftest import devices_at, hidden_star_positions, make_sim
 from lorapcsma.config import RunConfig
 from lorapcsma.kernel import RngStreams
-from lorapcsma.mac import ChannelStateArray, PersistenceTable, create_channel_state, shall_it_pass
+from lorapcsma.mac import ChannelStateArray, PersistenceTable, shall_it_pass
 
 SF8_TOA_US = 102_912
 SENSE_US = SF8_TOA_US // 2
@@ -20,8 +20,8 @@ class FakeRng:
 
 
 def test_create_channel_state_all_idle():
-    assert create_channel_state(1).flags == [0]
-    state = create_channel_state(100)
+    assert ChannelStateArray(1).flags == [0]
+    state = ChannelStateArray(100)
     assert state.flags == [0] * 100
     assert not state.is_busy(37)
 
@@ -65,13 +65,7 @@ def test_sense_ignores_transmitter_sf():
 def test_persistence_table():
     table = PersistenceTable([0.25, 1.0])
     assert table.get(0) == 0.25
-    table.update(0, 0.5)
-    assert table.get(0) == 0.5
-    table.update(1, 1.0)
-    with pytest.raises(ValueError):
-        table.update(0, 0.0)
-    with pytest.raises(ValueError):
-        table.update(0, 1.5)
+    assert table.get(1) == 1.0
     with pytest.raises(ValueError):
         PersistenceTable([0.5, -0.1])
 
@@ -88,15 +82,6 @@ def test_shall_it_pass_rate_matches_p():
     passes = sum(shall_it_pass(0, table, rng) for _ in range(100_000))
     assert abs(passes / 100_000 - 0.25) < 0.01
 
-
-def test_update_persistence_applies_to_next_draws():
-    table = PersistenceTable([0.25])
-    rng = RngStreams(4).stream("persistence")
-    before = sum(shall_it_pass(0, table, rng) for _ in range(50_000)) / 50_000
-    table.update(0, 0.75)
-    after = sum(shall_it_pass(0, table, rng) for _ in range(50_000)) / 50_000
-    assert abs(before - 0.25) < 0.01
-    assert abs(after - 0.75) < 0.01
 
 
 def test_single_device_transmits_at_first_firing():

@@ -131,6 +131,19 @@ def test_sweep_cardinality_and_summaries():
     assert len(out.getvalue().splitlines()) == 43  # header + 42 rows
 
 
+def test_sweep_validates_every_cell_before_the_first_run(monkeypatch):
+    from lorapcsma import sweep
+
+    def run_scenario_spy(cfg, seed=None):
+        raise AssertionError("a sweep cell ran before every cell was validated")
+
+    monkeypatch.setattr(sweep, "run_scenario", run_scenario_spy)
+    # The per-device p list fits n_devices = 3 only, so the n = 4 cell is invalid.
+    base = RunConfig(n_devices=3, p=(0.25, 0.5, 1.0), sim_time_s=50.0, period_set_s=(10.0,))
+    with pytest.raises(ConfigError, match="per-device p"):
+        run_sweep(base, SweepGrid(device_counts=(3, 4), seeds=(1, 2)))
+
+
 def test_sweep_is_order_independent():
     base = RunConfig(n_devices=2, sim_time_s=50.0, period_set_s=(10.0,), seed=1)
     a = run_sweep(base, SweepGrid(device_counts=(2, 3), seeds=(1, 2)))

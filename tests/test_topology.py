@@ -156,6 +156,7 @@ def test_device_file_round_trip(tmp_path):
         ("0 0 0 0 6 100 1.0", "spreading factor"),
         ("0 0 0 0 8 100 0.0", "persistence"),
         ("0 0 0 0 8 -5 1.0", "period"),
+        ("0 0 0 0 8 1e-7 1.0", "period must be at least 1 us"),
         ("5 0 0 0 8 100 1.0", "consecutive"),
     ],
 )

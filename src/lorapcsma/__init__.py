@@ -9,7 +9,7 @@ parameter sweeps.
 from .config import ConfigError, RunConfig, SweepGrid, load_config, load_grid, parse_config, parse_grid
 from .gateway import GatewayPhy, Outcome, TxRecord
 from .kernel import RngStream, RngStreams, Scheduler, us_from_s
-from .mac import ChannelStateArray, PcsmaMac, PersistenceTable, Phase, shall_it_pass
+from .mac import ChannelStateArray, PcsmaMac, shall_it_pass
 from .metrics import Counters, compute_prr, write_csv, write_trace
 from .phy import (
     LossParams,
@@ -47,8 +47,6 @@ __all__ = [
     "LossParams",
     "Outcome",
     "PcsmaMac",
-    "PersistenceTable",
-    "Phase",
     "RadioParams",
     "RngStream",
     "RngStreams",

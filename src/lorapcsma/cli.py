@@ -54,13 +54,14 @@ def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.mode:
         cfg = replace(cfg, mac=args.mode)
-    result = run_scenario(cfg, seed=args.seed)
-    seed = cfg.seed if args.seed is None else args.seed
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
+    result = run_scenario(cfg)
     scenario = Path(args.config).stem
-    row = result_row(scenario, seed, cfg, result.counters)
+    row = result_row(scenario, cfg.seed, cfg, result.counters)
     prr_generated, prr_sent = compute_prr(result.counters)
     c = result.counters
-    print(f"scenario={scenario} seed={seed} mac={cfg.mac} devices={cfg.n_devices}")
+    print(f"scenario={scenario} seed={cfg.seed} mac={cfg.mac} devices={cfg.n_devices}")
     print(
         f"generated={c.generated} sent={c.sent} suppressed={c.suppressed} "
         f"received={c.received} collided={c.collided} "

@@ -7,7 +7,8 @@ back to defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import phy
@@ -17,6 +18,15 @@ from .topology import ClusterGeometry
 
 class ConfigError(ValueError):
     """Invalid or malformed configuration; message names the key."""
+
+
+# The allowed values of every enumerated key, for the parser and validate().
+_CHOICES = {
+    "mac": ("pcsma", "aloha"),
+    "traffic": ("periodic", "poisson"),
+    "offsets": ("zero", "uniform"),
+    "low_data_rate_optimize": ("auto", "on", "off"),
+}
 
 
 @dataclass
@@ -39,7 +49,6 @@ class RunConfig:
     crc: bool = True
     low_data_rate_optimize: str = "auto"
     payload_bytes: int = 19
-    carrier_hz: float = 868.1e6
     reference_loss_db: float = 7.7
     reference_distance_m: float = 1.0
     path_loss_exponent: float = 3.76
@@ -64,7 +73,6 @@ class RunConfig:
             crc=self.crc,
             low_data_rate_optimize=lowdr,
             payload_bytes=self.payload_bytes,
-            carrier_hz=self.carrier_hz,
         )
 
     def loss_params(self) -> phy.LossParams:
@@ -87,15 +95,31 @@ class RunConfig:
             ring_radius_m=self.ring_radius_m,
         )
 
+    def poisson_mean_gap_s(self, sf: int) -> float:
+        """Mean gap between aggregate Poisson arrivals: one airtime at ``sf``
+        divided by ``offered_load``."""
+        gap_s = phy.time_on_air(sf, self.radio_params()) / self.offered_load
+        # A gap that rounds to 0 us would schedule every arrival at one tick.
+        if us_from_s(gap_s) < 1:
+            raise ConfigError(
+                f"offered_load {self.offered_load:g} makes the mean Poisson gap "
+                f"{gap_s:.3g} s at SF{sf}, below 1 us"
+            )
+        return gap_s
+
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            values = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        for key, allowed in _CHOICES.items():
+            if getattr(self, key) not in allowed:
+                raise ConfigError(f"{key} must be one of {allowed}, got {getattr(self, key)!r}")
         if self.n_devices < 1:
             raise ConfigError("n_devices is required and must be >= 1")
         if self.sim_time_s <= 0:
             raise ConfigError("sim_time_s must be positive")
-        if self.mac not in ("pcsma", "aloha"):
-            raise ConfigError(f"mac must be pcsma or aloha, got {self.mac!r}")
-        if self.traffic not in ("periodic", "poisson"):
-            raise ConfigError(f"traffic must be periodic or poisson, got {self.traffic!r}")
         # A duration that rounds to 0 us would reschedule at the same tick forever.
         if not self.period_set_s or any(us_from_s(t) < 1 for t in self.period_set_s):
             raise ConfigError("period_set_s must be non-empty with periods of at least 1 us")
@@ -118,16 +142,12 @@ class RunConfig:
             raise ConfigError("n_areas must be >= 1")
         if self.gateway_paths < 1:
             raise ConfigError("gateway_paths must be >= 1")
-        if self.offsets not in ("zero", "uniform"):
-            raise ConfigError(f"offsets must be zero or uniform, got {self.offsets!r}")
-        if self.low_data_rate_optimize not in ("auto", "on", "off"):
-            raise ConfigError("low_data_rate_optimize must be auto, on, or off")
         if self.sensing_interval_s is not None and us_from_s(self.sensing_interval_s) < 1:
             raise ConfigError("sensing_interval_s must be at least 1 us (or auto)")
         if self.shadowing_sigma_db < 0:
             raise ConfigError("shadowing_sigma_db must be >= 0")
         try:
-            radio = self.radio_params()
+            self.radio_params()
         except ValueError as exc:
             raise ConfigError(f"radio parameters: {exc}") from None
         if self.traffic == "poisson":
@@ -135,12 +155,7 @@ class RunConfig:
                 raise ConfigError("offered_load must be positive for poisson traffic")
             if len(self.sf_set) != 1:
                 raise ConfigError("poisson traffic needs a single-SF sf_set (one packet-time)")
-            mean_gap_s = phy.time_on_air(self.sf_set[0], radio) / self.offered_load
-            if us_from_s(mean_gap_s) < 1:
-                raise ConfigError(
-                    f"offered_load {self.offered_load:g} makes the mean Poisson gap "
-                    f"{mean_gap_s:.3g} s, below 1 us"
-                )
+            self.poisson_mean_gap_s(self.sf_set[0])
         try:
             self.loss_params()
         except ValueError as exc:
@@ -225,14 +240,6 @@ def _parse_sensing(value: str, key: str, lineno: int):
     return _parse_float(value, key, lineno)
 
 
-_CHOICES = {
-    "mac": ("pcsma", "aloha"),
-    "traffic": ("periodic", "poisson"),
-    "offsets": ("zero", "uniform"),
-    "low_data_rate_optimize": ("auto", "on", "off"),
-}
-
-
 def _parse_choice(value: str, key: str, lineno: int) -> str:
     low = value.lower()
     if low not in _CHOICES[key]:
@@ -259,7 +266,6 @@ _SCENARIO_KEYS = {
     "crc": _parse_bool,
     "low_data_rate_optimize": _parse_choice,
     "payload_bytes": _parse_int,
-    "carrier_hz": _parse_float,
     "reference_loss_db": _parse_float,
     "reference_distance_m": _parse_float,
     "path_loss_exponent": _parse_float,
@@ -276,30 +282,31 @@ _SCENARIO_KEYS = {
 }
 
 
-def _iter_assignments(text: str):
+def _assign(text: str, target, parsers: dict, kind: str):
+    """Apply each ``key = value`` line of ``text`` to a copy of ``target``.
+
+    ``kind`` names the document's keys in errors ("key" or "grid key").
+    """
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw.strip()!r}")
-        key, value = line.split("=", 1)
-        yield lineno, key.strip(), value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in parsers:
+            raise ConfigError(f"line {lineno}: unknown {kind} {key!r}")
+        if key in seen:
+            raise ConfigError(f"line {lineno}: duplicate {kind} {key!r}")
+        seen.add(key)
+        target = replace(target, **{key: parsers[key](value, key, lineno)})
+    return target
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a scenario document; all defaults applied."""
-    cfg = RunConfig()
-    seen = set()
-    for lineno, key, value in _iter_assignments(text):
-        if key not in _SCENARIO_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in seen:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        seen.add(key)
-        cfg = replace(cfg, **{key: _SCENARIO_KEYS[key](value, key, lineno)})
-    if "n_devices" not in seen:
-        raise ConfigError("missing required key n_devices")
+    cfg = _assign(text, RunConfig(), _SCENARIO_KEYS, "key")
     cfg.validate()
     return cfg
 
@@ -327,15 +334,7 @@ _GRID_KEYS = {
 
 
 def parse_grid(text: str) -> SweepGrid:
-    grid = SweepGrid()
-    seen = set()
-    for lineno, key, value in _iter_assignments(text):
-        if key not in _GRID_KEYS:
-            raise ConfigError(f"line {lineno}: unknown grid key {key!r}")
-        if key in seen:
-            raise ConfigError(f"line {lineno}: duplicate grid key {key!r}")
-        seen.add(key)
-        grid = replace(grid, **{key: _GRID_KEYS[key](value, key, lineno)})
+    grid = _assign(text, SweepGrid(), _GRID_KEYS, "grid key")
     if not grid.seeds:
         raise ConfigError("seeds must be non-empty")
     return grid

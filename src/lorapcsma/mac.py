@@ -1,10 +1,10 @@
 """Per-device MAC: sensing over the vicinity set, FIFO claiming, persistence.
 
-One :class:`PcsmaMac` instance owns the state of every device in a run, in
-array form: the channel-state array (busy flags), the persistence table,
-and each device's phase.  Both the p-CSMA behaviour and the pure-ALOHA
-baseline live here; the gateway model calls back into
-:meth:`PcsmaMac.finish_transmission` to free the channel at air-end.
+One :class:`PcsmaMac` instance owns the back-off state of every device in a
+run, in array form, next to the per-device persistence values.  Whether a
+device is on air is the channel-state array's busy flag, and nothing else:
+the MAC books it at air-start and the gateway model frees it at air-end.
+Both the p-CSMA behaviour and the pure-ALOHA baseline live here.
 
 Timing of the periodic traffic: a new generation is scheduled one period
 after a transmission starts (a backed-off packet therefore shifts the
@@ -15,7 +15,6 @@ is pending or on air are counted as suppressed, never queued.
 
 from __future__ import annotations
 
-import enum
 from typing import TYPE_CHECKING
 
 from .gateway import TxRecord
@@ -27,12 +26,6 @@ if TYPE_CHECKING:
 
 DUTY_CYCLE_LIMIT = 0.01
 DUTY_WINDOW_US = 3600 * US_PER_S
-
-
-class Phase(enum.IntEnum):
-    IDLE = 0
-    TRANSMITTING = 1
-    BACKOFF = 2
 
 
 class ChannelStateArray:
@@ -68,23 +61,9 @@ class ChannelStateArray:
         return not any(self.flags)
 
 
-class PersistenceTable:
-    """Per-device p-values in (0, 1]."""
-
-    def __init__(self, values: list[float]) -> None:
-        self.values = []
-        for device, p in enumerate(values):
-            if not 0.0 < p <= 1.0:
-                raise ValueError(f"persistence for device {device} must be in (0, 1], got {p}")
-            self.values.append(float(p))
-
-    def get(self, device: int) -> float:
-        return self.values[device]
-
-
-def shall_it_pass(device: int, table: PersistenceTable, rng: RngStream) -> bool:
-    """Persistence gate for reclaim attempts: pass iff rand < p(device)."""
-    return rng.uniform() < table.get(device)
+def shall_it_pass(p: float, rng: RngStream) -> bool:
+    """Persistence gate for reclaim attempts: pass iff rand < p."""
+    return rng.uniform() < p
 
 
 class PcsmaMac:
@@ -92,7 +71,7 @@ class PcsmaMac:
         self,
         sched: Scheduler,
         channel: ChannelStateArray,
-        ptable: PersistenceTable,
+        persistence: list[float],
         neighbors: list[list[int]],
         counters: "Counters",
         records: list,
@@ -108,9 +87,12 @@ class PcsmaMac:
         duty_cycle_enforce: bool = False,
     ) -> None:
         n = len(neighbors)
+        for device, p in enumerate(persistence):
+            if not 0.0 < p <= 1.0:
+                raise ValueError(f"persistence for device {device} must be in (0, 1], got {p}")
         self.sched = sched
         self.channel = channel
-        self.ptable = ptable
+        self.persistence = [float(p) for p in persistence]
         self.neighbors = neighbors
         self.counters = counters
         self.records = records
@@ -125,8 +107,7 @@ class PcsmaMac:
         self.duty_cycle_enforce = duty_cycle_enforce
         self.gateway: "GatewayPhy | None" = None  # attached after construction
 
-        self.phase = [Phase.IDLE] * n
-        self.in_flight: list = [None] * n
+        self.backoff = [False] * n
         self._duty_log: list[list[tuple[int, int]]] = [[] for _ in range(n)]
 
     # -- sensing ---------------------------------------------------------
@@ -153,12 +134,12 @@ class PcsmaMac:
         starts a back-off, and persistence gates only the reclaim attempts.
         """
         self.counters.generated += 1
-        if self.phase[device] != Phase.IDLE:
+        if self.channel.flags[device] or self.backoff[device]:
             # One pending packet per device: drop the new one, keep the clock.
             self.counters.suppressed += 1
             self._schedule_next_generation(device)
         elif not self.aloha and self.sense(device):
-            self.phase[device] = Phase.BACKOFF
+            self.backoff[device] = True
             self.sched.schedule_in(self.sense_us[device], self.retry_claiming, device)
         else:
             self._start_transmission(device)
@@ -171,7 +152,7 @@ class PcsmaMac:
         A busy channel or a failed draw waits one more sensing interval; the
         persistence draw happens only when the channel is idle.
         """
-        if not self.sense(device) and shall_it_pass(device, self.ptable, self.rng):
+        if not self.sense(device) and shall_it_pass(self.persistence[device], self.rng):
             self._start_transmission(device)
         else:
             self.sched.schedule_in(self.sense_us[device], self.retry_claiming, device)
@@ -180,13 +161,12 @@ class PcsmaMac:
 
     def _start_transmission(self, device: int) -> None:
         now = self.sched.now_us
+        self.backoff[device] = False
         if self.duty_cycle_enforce and self._duty_exceeded(device, now):
             self.counters.suppressed += 1
-            self.phase[device] = Phase.IDLE
             self._schedule_next_generation(device)
             return
         self.channel.book(device)
-        self.phase[device] = Phase.TRANSMITTING
         rec = TxRecord(
             device=device,
             sf=self.sf[device],
@@ -195,19 +175,12 @@ class PcsmaMac:
             prx_dbm=self.prx_dbm[device],
         )
         self.records.append(rec)
-        self.in_flight[device] = rec
         assert self.gateway is not None
         self.gateway.on_tx_start(rec)
         self.sched.schedule(rec.air_end_us, self.gateway.on_tx_end, rec)
         if self.duty_cycle_enforce:
             self._duty_log[device].append((now, self.toa_us[device]))
         self._schedule_next_generation(device)
-
-    def finish_transmission(self, device: int) -> None:
-        """Gateway callback at air-end; every outcome frees the channel."""
-        self.channel.free(device)
-        self.phase[device] = Phase.IDLE
-        self.in_flight[device] = None
 
     def _schedule_next_generation(self, device: int) -> None:
         if self.periodic:

@@ -30,7 +30,6 @@ class RadioParams:
     crc: bool = True
     low_data_rate_optimize: bool | None = None  # None: on iff SF >= 11
     payload_bytes: int = 19
-    carrier_hz: float = 868.1e6
 
     def __post_init__(self):
         if self.bandwidth_hz <= 0:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -10,7 +10,7 @@ from . import phy, topology
 from .config import RunConfig
 from .gateway import GatewayPhy, TxRecord
 from .kernel import RngStreams, Scheduler, us_from_s
-from .mac import ChannelStateArray, PcsmaMac, PersistenceTable, Phase
+from .mac import ChannelStateArray, PcsmaMac
 from .metrics import Counters
 
 # One named stream per concern so changing one consumer leaves the others'
@@ -35,28 +35,38 @@ class RunResult:
     counters: Counters
     records: list[TxRecord]
     audit: RunAudit
-    devices: list[topology.DeviceSpec]
     vicinity: np.ndarray
-    seed: int
-    config: RunConfig | None = field(repr=False, default=None)
 
 
 def build_topology(cfg: RunConfig, streams: RngStreams) -> topology.Topology:
-    """Generated placement: validated cluster geometry, round-robin attributes."""
+    """The run's devices, their gateway receive powers and the vicinity matrix.
+
+    Devices come from ``cfg.device_file`` as listed, or else from generated
+    placement: validated cluster geometry, round-robin attributes.
+    """
     loss = cfg.loss_params()
     table = cfg.sensitivity_table()
-    geom = cfg.geometry()
-    topology.validate_geometry(geom, cfg.sf_set, cfg.tx_power_dbm, loss, table)
-    positions = topology.place_clusters(cfg.n_devices, geom, streams.stream(STREAM_PLACEMENT))
-    devices = topology.assign_attributes(
-        positions, cfg.sf_set, cfg.period_set_s, cfg.p, cfg.tx_power_dbm
-    )
-    if cfg.shadowing_sigma_db > 0:
-        shadow_rng = streams.stream(STREAM_SHADOWING)
-        for dev in devices:
-            dev.shadow_db = shadow_rng.normal(cfg.shadowing_sigma_db)
+    if cfg.device_file is not None:
+        devices = topology.load_device_file(cfg.device_file, cfg.tx_power_dbm)
+        if cfg.n_devices != len(devices):
+            raise ValueError(
+                f"n_devices={cfg.n_devices} but {cfg.device_file!r} defines {len(devices)} devices"
+            )
+    else:
+        geom = cfg.geometry()
+        topology.validate_geometry(geom, cfg.sf_set, cfg.tx_power_dbm, loss, table)
+        positions = topology.place_clusters(cfg.n_devices, geom, streams.stream(STREAM_PLACEMENT))
+        devices = topology.assign_attributes(
+            positions, cfg.sf_set, cfg.period_set_s, cfg.p, cfg.tx_power_dbm
+        )
+        if cfg.shadowing_sigma_db > 0:
+            shadow_rng = streams.stream(STREAM_SHADOWING)
+            for dev in devices:
+                dev.shadow_db = shadow_rng.normal(cfg.shadowing_sigma_db)
     prx = topology.gateway_rx_dbm(devices, loss)
-    if cfg.shadowing_sigma_db == 0:
+    # A device file may list devices out of coverage; generated placement
+    # without shadowing promises coverage.
+    if cfg.device_file is None and cfg.shadowing_sigma_db == 0:
         for dev, rx in zip(devices, prx):
             if rx < table.threshold_dbm(dev.sf, phy.GATEWAY):
                 raise topology.GeometryError(
@@ -67,21 +77,11 @@ def build_topology(cfg: RunConfig, streams: RngStreams) -> topology.Topology:
     return topology.Topology(devices=devices, vicinity=vicinity, prx_dbm=prx)
 
 
-def file_topology(cfg: RunConfig) -> topology.Topology:
-    devices = topology.load_device_file(cfg.device_file, cfg.tx_power_dbm)
-    if cfg.n_devices != len(devices):
-        raise ValueError(
-            f"n_devices={cfg.n_devices} but {cfg.device_file!r} defines {len(devices)} devices"
-        )
-    loss = cfg.loss_params()
-    table = cfg.sensitivity_table()
-    vicinity = topology.build_vicinity(devices, loss, table)
-    prx = topology.gateway_rx_dbm(devices, loss)
-    return topology.Topology(devices=devices, vicinity=vicinity, prx_dbm=prx)
-
-
 class Simulation:
-    """One independent run: owns the clock, all MAC state, and the gateway."""
+    """One independent run: owns the clock, all MAC state, and the gateway.
+
+    Every random stream is seeded from ``cfg.seed``.
+    """
 
     def __init__(
         self,
@@ -90,15 +90,13 @@ class Simulation:
         vicinity: np.ndarray,
         *,
         prx_dbm: list[float] | None = None,
-        seed: int | None = None,
         offsets_s: list[float] | None = None,
     ) -> None:
         self.cfg = cfg
         self.devices = devices
         self.vicinity = vicinity
-        self.seed = cfg.seed if seed is None else seed
         self.offsets_s = offsets_s
-        self.streams = RngStreams(self.seed)
+        self.streams = RngStreams(cfg.seed)
         self.sched = Scheduler()
         self.counters = Counters()
         self.records: list[TxRecord] = []
@@ -108,36 +106,33 @@ class Simulation:
         table = cfg.sensitivity_table()
         if prx_dbm is None:
             prx_dbm = topology.gateway_rx_dbm(devices, loss)
-        self._toa_s = {sf: phy.time_on_air(sf, radio) for sf in sorted({d.sf for d in devices})}
-        toa_us = [us_from_s(self._toa_s[d.sf]) for d in devices]
-        if cfg.sensing_interval_s is not None:
-            sense_us = [us_from_s(cfg.sensing_interval_s)] * len(devices)
+        sfs = {d.sf for d in devices}
+        toa_us = {sf: us_from_s(phy.time_on_air(sf, radio)) for sf in sfs}
+        if cfg.sensing_interval_s is None:
+            sense_us = {sf: us_from_s(phy.sensing_interval_s(sf, radio)) for sf in sfs}
         else:
-            sense_us = [us_from_s(self._toa_s[d.sf] / 2.0) for d in devices]
+            sense_us = dict.fromkeys(sfs, us_from_s(cfg.sensing_interval_s))
 
         neighbors = [list(np.flatnonzero(vicinity[i])) for i in range(len(devices))]
         self.channel = ChannelStateArray(len(devices))
-        self.ptable = PersistenceTable([d.persistence for d in devices])
         self.mac = PcsmaMac(
             self.sched,
             self.channel,
-            self.ptable,
+            [d.persistence for d in devices],
             neighbors,
             self.counters,
             self.records,
             self.streams.stream(STREAM_PERSISTENCE),
             sf=[d.sf for d in devices],
             prx_dbm=list(prx_dbm),
-            toa_us=toa_us,
-            sense_us=sense_us,
+            toa_us=[toa_us[d.sf] for d in devices],
+            sense_us=[sense_us[d.sf] for d in devices],
             period_us=[us_from_s(d.period_s) for d in devices],
             periodic=cfg.traffic == "periodic",
             aloha=cfg.mac == "aloha",
             duty_cycle_enforce=cfg.duty_cycle_enforce,
         )
-        self.gateway = GatewayPhy(
-            cfg.gateway_paths, table, self.counters, self.mac.finish_transmission
-        )
+        self.gateway = GatewayPhy(cfg.gateway_paths, table, self.counters, self.channel.free)
         self.mac.gateway = self.gateway
 
     # -- traffic seeding ---------------------------------------------------
@@ -156,8 +151,7 @@ class Simulation:
             self.sched.schedule(offset_us, self.mac.generate, i)
 
     def _seed_poisson(self) -> None:
-        sf = self.devices[0].sf
-        self._poisson_mean_s = self._toa_s[sf] / self.cfg.offered_load
+        self._poisson_mean_s = self.cfg.poisson_mean_gap_s(self.devices[0].sf)
         self._traffic_rng = self.streams.stream(STREAM_TRAFFIC)
         self._schedule_arrival(0)
 
@@ -182,14 +176,12 @@ class Simulation:
         self.sched.run_until(us_from_s(self.cfg.sim_time_s) - 1)
 
         # Packets without a final outcome when the clock stops: waiting in
-        # back-off or still on air.  On-air ones release their path and flag
-        # so conservation holds for every run.
-        self.counters.pending_at_end = sum(
-            1 for phase in self.mac.phase if phase != Phase.IDLE
-        )
-        for i, phase in enumerate(self.mac.phase):
-            if phase == Phase.TRANSMITTING:
-                self.gateway.abort(self.mac.in_flight[i])
+        # back-off or still on air.  On-air ones (air-end not yet fired)
+        # release their path and flag so conservation holds for every run.
+        self.counters.pending_at_end = sum(self.mac.backoff) + sum(self.channel.flags)
+        for rec in self.records:
+            if rec.air_end_us > self.sched.now_us:
+                self.gateway.abort(rec)
 
         self.counters.check()
         audit = RunAudit(
@@ -203,26 +195,18 @@ class Simulation:
             counters=self.counters,
             records=self.records,
             audit=audit,
-            devices=self.devices,
             vicinity=self.vicinity,
-            seed=self.seed,
-            config=self.cfg,
         )
 
 
 def run_scenario(cfg: RunConfig, seed: int | None = None) -> RunResult:
-    """Build the configured topology, run one scenario, return its result."""
+    """Build the configured topology, run one scenario, return its result.
+
+    ``seed``, when given, replaces ``cfg.seed``.
+    """
+    if seed is not None:
+        cfg = replace(cfg, seed=seed)
     cfg.validate()
-    effective_seed = cfg.seed if seed is None else seed
-    if cfg.device_file is not None:
-        topo = file_topology(cfg)
-    else:
-        topo = build_topology(cfg, RngStreams(effective_seed))
-    sim = Simulation(
-        cfg,
-        topo.devices,
-        topo.vicinity,
-        prx_dbm=topo.prx_dbm,
-        seed=effective_seed,
-    )
+    topo = build_topology(cfg, RngStreams(cfg.seed))
+    sim = Simulation(cfg, topo.devices, topo.vicinity, prx_dbm=topo.prx_dbm)
     return sim.run()

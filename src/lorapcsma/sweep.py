@@ -23,8 +23,8 @@ def _fmt_p(p) -> str:
     return f"{p:.6f}"
 
 
-def result_row(scenario: str, seed, cfg: RunConfig, counters: Counters) -> dict:
-    prr_generated, prr_sent = compute_prr(counters)
+def _cell_row(scenario: str, seed, cfg: RunConfig) -> dict:
+    """The columns that name a run or a summary row: scenario, seed, cell."""
     return {
         "scenario": scenario,
         "seed": seed,
@@ -34,6 +34,13 @@ def result_row(scenario: str, seed, cfg: RunConfig, counters: Counters) -> dict:
         "p": _fmt_p(cfg.p),
         "n_areas": cfg.n_areas,
         "period_set": _fmt_set(cfg.period_set_s),
+    }
+
+
+def result_row(scenario: str, seed, cfg: RunConfig, counters: Counters) -> dict:
+    prr_generated, prr_sent = compute_prr(counters)
+    return {
+        **_cell_row(scenario, seed, cfg),
         "generated": counters.generated,
         "sent": counters.sent,
         "suppressed": counters.suppressed,
@@ -85,19 +92,7 @@ def run_sweep(base_cfg: RunConfig, grid: SweepGrid) -> list[dict]:
             ("mean", statistics.mean(prrs) if prrs else None),
             ("stddev", statistics.pstdev(prrs) if prrs else None),
         ):
-            rows.append(
-                {
-                    "scenario": name,
-                    "seed": label,
-                    "mac": cfg.mac,
-                    "n_devices": cfg.n_devices,
-                    "sf_set": _fmt_set(cfg.sf_set),
-                    "p": _fmt_p(cfg.p),
-                    "n_areas": cfg.n_areas,
-                    "period_set": _fmt_set(cfg.period_set_s),
-                    "prr_generated": value,
-                }
-            )
+            rows.append({**_cell_row(name, label, cfg), "prr_generated": value})
     return rows
 
 

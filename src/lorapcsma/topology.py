@@ -237,6 +237,9 @@ def load_device_file(
             p = float(parts[6])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
+        for name, value in zip(("x", "y", "z", "period_s", "p"), (x, y, z, period_s, p)):
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{lineno}: {name} must be finite, got {value}")
         if not phy.SF_MIN <= sf <= phy.SF_MAX:
             raise ValueError(f"{path}:{lineno}: spreading factor {sf} out of range")
         if not 0.0 < p <= 1.0:

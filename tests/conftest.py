@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 from lorapcsma import topology
 from lorapcsma.config import RunConfig
@@ -17,12 +18,11 @@ def devices_at(positions, sf=8, period_s=100.0, p=1.0, tx_power_dbm=14.0):
 
 def make_sim(devices, cfg: RunConfig | None = None, *, offsets_s=None, seed=1):
     """Simulation over explicit devices; vicinity derived from the PHY defaults."""
-    if cfg is None:
-        cfg = RunConfig(n_devices=len(devices), seed=seed)
+    cfg = replace(cfg or RunConfig(n_devices=len(devices)), seed=seed)
     loss = cfg.loss_params()
     table = cfg.sensitivity_table()
     vicinity = topology.build_vicinity(devices, loss, table)
-    return Simulation(cfg, devices, vicinity, offsets_s=offsets_s, seed=seed)
+    return Simulation(cfg, devices, vicinity, offsets_s=offsets_s)
 
 
 def hidden_star_positions(ring_radius_m=4877.0, n_ring=8):

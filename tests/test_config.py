@@ -70,6 +70,16 @@ def test_duplicate_key_rejected():
         ("n_devices = 10\nperiod_set_s = {1e-7}\n", "period_set_s"),
         ("n_devices = 10\nsensing_interval_s = 1e-7\n", "sensing_interval_s"),
         ("n_devices = 10\ntraffic = poisson\noffered_load = 1e9\n", "offered_load"),
+        # Non-finite numbers would overflow, convert badly or run silently.
+        ("n_devices = 10\nperiod_set_s = {nan}\n", "period_set_s"),
+        ("n_devices = 10\nperiod_set_s = {100, inf}\n", "period_set_s"),
+        ("n_devices = 10\nsim_time_s = nan\n", "sim_time_s"),
+        ("n_devices = 10\nsim_time_s = inf\n", "sim_time_s"),
+        ("n_devices = 10\ntraffic = poisson\noffered_load = nan\n", "offered_load"),
+        ("n_devices = 10\nsensing_interval_s = inf\n", "sensing_interval_s"),
+        ("n_devices = 10\ntx_power_dbm = nan\n", "tx_power_dbm"),
+        ("n_devices = 10\ncluster_radius_m = nan\n", "cluster_radius_m"),
+        ("n_devices = 10\nshadowing_sigma_db = nan\n", "shadowing_sigma_db"),
     ],
 )
 def test_invalid_values_are_named_errors(doc, match):

@@ -5,7 +5,7 @@ import pytest
 from conftest import devices_at, hidden_star_positions, make_sim
 from lorapcsma.config import RunConfig
 from lorapcsma.kernel import RngStreams
-from lorapcsma.mac import ChannelStateArray, PersistenceTable, shall_it_pass
+from lorapcsma.mac import ChannelStateArray, shall_it_pass
 
 SF8_TOA_US = 102_912
 SENSE_US = SF8_TOA_US // 2
@@ -63,25 +63,25 @@ def test_sense_ignores_transmitter_sf():
 
 
 def test_persistence_table():
-    table = PersistenceTable([0.25, 1.0])
-    assert table.get(0) == 0.25
-    assert table.get(1) == 1.0
-    with pytest.raises(ValueError):
-        PersistenceTable([0.5, -0.1])
+    # The MAC keeps one p per device and rejects any outside (0, 1].
+    devices = devices_at([(0.0, 0.0), (1.0, 0.0)], p=0.25)
+    devices[1].persistence = 1.0
+    assert make_sim(devices).mac.persistence == [0.25, 1.0]
+    for bad in (0.0, -0.1, 1.5):
+        devices[1].persistence = bad
+        with pytest.raises(ValueError, match="persistence for device 1"):
+            make_sim(devices)
 
 
 def test_shall_it_pass_p1_always_true():
-    table = PersistenceTable([1.0])
     rng = RngStreams(3).stream("persistence")
-    assert all(shall_it_pass(0, table, rng) for _ in range(1000))
+    assert all(shall_it_pass(1.0, rng) for _ in range(1000))
 
 
 def test_shall_it_pass_rate_matches_p():
-    table = PersistenceTable([0.25])
     rng = RngStreams(3).stream("persistence")
-    passes = sum(shall_it_pass(0, table, rng) for _ in range(100_000))
+    passes = sum(shall_it_pass(0.25, rng) for _ in range(100_000))
     assert abs(passes / 100_000 - 0.25) < 0.01
-
 
 
 def test_single_device_transmits_at_first_firing():

@@ -1,0 +1,67 @@
+"""Property test: every accepted random config terminates, conserves and replays."""
+
+import io
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lorapcsma.config import ConfigError, RunConfig
+from lorapcsma.gateway import Outcome
+from lorapcsma.metrics import write_trace
+from lorapcsma.simulation import run_scenario
+from lorapcsma.topology import GeometryError
+
+probabilities = st.floats(0.01, 1.0)
+
+
+@st.composite
+def run_configs(draw):
+    n = draw(st.integers(1, 30))
+    traffic = draw(st.sampled_from(("periodic", "poisson")))
+    # Poisson traffic needs one packet-time, so a single SF.
+    max_sfs = 1 if traffic == "poisson" else 3
+    sf_set = draw(st.lists(st.integers(7, 12), min_size=1, max_size=max_sfs, unique=True))
+    return RunConfig(
+        n_devices=n,
+        sim_time_s=draw(st.floats(10.0, 300.0)),
+        mac=draw(st.sampled_from(("pcsma", "aloha"))),
+        traffic=traffic,
+        period_set_s=tuple(draw(st.lists(st.floats(1.0, 300.0), min_size=1, max_size=3))),
+        sf_set=tuple(sf_set),
+        p=draw(probabilities | st.lists(probabilities, min_size=n, max_size=n).map(tuple)),
+        n_areas=draw(st.integers(1, 4)),
+        cluster_radius_m=draw(st.floats(0.0, 400.0)),
+        ring_radius_m=draw(st.floats(2000.0, 6000.0)),
+        offsets=draw(st.sampled_from(("zero", "uniform"))),
+        sensing_interval_s=draw(st.none() | st.floats(0.001, 1.0)),
+        offered_load=draw(st.floats(0.05, 2.0)),
+        duty_cycle_enforce=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**31)),
+    )
+
+
+def _trace(result) -> str:
+    buf = io.StringIO()
+    write_trace(result.records, buf)
+    return buf.getvalue()
+
+
+@settings(max_examples=50, deadline=None)
+@given(run_configs())
+def test_accepted_configs_terminate_conserve_and_replay(cfg):
+    try:
+        result = run_scenario(cfg)
+    except (ConfigError, GeometryError):
+        return
+    c, audit = result.counters, result.audit
+    c.check()
+    assert audit.channel_clear and audit.book_count == audit.free_count
+    outcomes = [rec.outcome for rec in result.records if rec.outcome is not None]
+    assert c.sent == len(outcomes)
+    assert outcomes.count(Outcome.RECEIVED) == c.received
+    assert outcomes.count(Outcome.COLLIDED) == c.collided
+    assert outcomes.count(Outcome.UNDER_SENSITIVITY) == c.under_sensitivity
+    assert outcomes.count(Outcome.NO_DEMOD_PATH) == c.no_path
+    replay = run_scenario(cfg)
+    assert replay.counters == c
+    assert _trace(replay) == _trace(result)

@@ -1,6 +1,10 @@
 """End-to-end scenario runs, sweeps, the validation curve, and the CLI."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -197,6 +201,27 @@ def test_device_file_count_mismatch(tmp_path):
     cfg = RunConfig(n_devices=2, device_file=str(path))
     with pytest.raises(ValueError, match="defines 1 devices"):
         run_scenario(cfg)
+
+
+def test_device_file_poisson_gap_uses_device_0s_sf(tmp_path):
+    # validate() checks the gap at sf_set[0] = SF12 (1.5 us, accepted), but
+    # the arrivals run at device 0's SF7, whose gap rounds to 0 us.
+    (tmp_path / "devices.txt").write_text("0 100 0 0 7 100 1.0\n")
+    config = tmp_path / "scenario.cfg"
+    config.write_text(
+        "n_devices = 1\nsf_set = {12}\ntraffic = poisson\noffered_load = 1e6\n"
+        f"device_file = {tmp_path / 'devices.txt'}\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "lorapcsma.cli", "run", "--config", str(config)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 2
+    assert "offered_load" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_gateway_paths_config_limits_concurrency():

@@ -158,6 +158,9 @@ def test_device_file_round_trip(tmp_path):
         ("0 0 0 0 8 -5 1.0", "period"),
         ("0 0 0 0 8 1e-7 1.0", "period must be at least 1 us"),
         ("5 0 0 0 8 100 1.0", "consecutive"),
+        ("0 nan 0 0 8 100 1.0", "devices.txt:1: x must be finite"),
+        ("0 0 0 0 8 inf 1.0", "devices.txt:1: period_s must be finite"),
+        ("0 0 0 0 8 nan 1.0", "devices.txt:1: period_s must be finite"),
     ],
 )
 def test_device_file_rejects_bad_rows(tmp_path, line, match):

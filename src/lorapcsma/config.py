@@ -13,12 +13,7 @@ from pathlib import Path
 
 from . import phy
 from .kernel import us_from_s
-from .topology import ClusterGeometry
-
-
-class ConfigError(ValueError):
-    """Invalid or malformed configuration; message names the key."""
-
+from .topology import ClusterGeometry, ConfigError
 
 # The allowed values of every enumerated key, for the parser and validate().
 _CHOICES = {

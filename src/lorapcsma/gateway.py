@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .metrics import Counters
-from .phy import GATEWAY, SensitivityTable
+from .phy import SF_MAX, SF_MIN, SensitivityTable
 
 
 class Outcome(enum.Enum):
@@ -56,15 +56,12 @@ class GatewayPhy:
         if n_paths < 1:
             raise ValueError("the gateway needs at least one demodulation path")
         self.paths: list[TxRecord | None] = [None] * n_paths
-        self.table = table
+        self.threshold_dbm = dict(zip(range(SF_MIN, SF_MAX + 1), table.gateway))
         self.counters = counters
         self.free_channel = free_channel
         self.max_paths_bound = 0
         self.binds = 0
         self.releases = 0
-
-    def _bound(self) -> list[TxRecord]:
-        return [rec for rec in self.paths if rec is not None]
 
     def on_tx_start(self, rec: TxRecord) -> None:
         """Register a transmission at its air-start.
@@ -73,27 +70,28 @@ class GatewayPhy:
         same microsecond another ends does not collide with it.
         """
         rec.registered = True
-        if rec.prx_dbm < self.table.threshold_dbm(rec.sf, GATEWAY):
+        if rec.prx_dbm < self.threshold_dbm[rec.sf]:
             rec.provisional = Outcome.UNDER_SENSITIVITY
             return
-        free = next((i for i, slot in enumerate(self.paths) if slot is None), None)
-        if free is None:
+        paths = self.paths
+        bound = self.binds - self.releases
+        if bound == len(paths):
             rec.provisional = Outcome.NO_DEMOD_PATH
             return
-        self.paths[free] = rec
-        rec.path = free
-        self.binds += 1
-        bound = self._bound()
-        self.max_paths_bound = max(self.max_paths_bound, len(bound))
-        for other in bound:
-            if other is rec or other.sf != rec.sf:
-                continue
-            if other.air_end_us > rec.air_start_us:
+        sf, start = rec.sf, rec.air_start_us
+        for other in paths:
+            if other is not None and other.sf == sf and other.air_end_us > start:
                 other.tainted = True
                 rec.tainted = True
+        free = paths.index(None)
+        paths[free] = rec
+        rec.path = free
+        self.binds += 1
+        if bound >= self.max_paths_bound:
+            self.max_paths_bound = bound + 1
 
     def on_tx_end(self, rec: TxRecord) -> Outcome:
-        """Assign the final outcome and free the sender's channel flag.
+        """Assign the final outcome and take the sender off air.
 
         All four cases free the channel.
         """

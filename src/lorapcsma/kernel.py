@@ -9,7 +9,7 @@ deterministic.
 from __future__ import annotations
 
 import hashlib
-import heapq
+from heapq import heappop, heappush
 from typing import Callable
 
 import numpy as np
@@ -45,10 +45,7 @@ class Scheduler:
                 f"cannot schedule event at {at_us} us: clock is at {self.now_us} us"
             )
         self._seq += 1
-        heapq.heappush(self._heap, (at_us, self._seq, fn, args))
-
-    def schedule_in(self, delay_us: int, fn: Callable, *args) -> None:
-        self.schedule(self.now_us + delay_us, fn, *args)
+        heappush(self._heap, (at_us, self._seq, fn, args))
 
     def run_until(self, until_us: int) -> int:
         """Execute all events with fire time <= ``until_us`` in order.
@@ -59,7 +56,7 @@ class Scheduler:
         heap = self._heap
         executed = 0
         while heap and heap[0][0] <= until_us:
-            at_us, _, fn, args = heapq.heappop(heap)
+            at_us, _, fn, args = heappop(heap)
             self.now_us = at_us
             fn(*args)
             executed += 1

@@ -2,9 +2,9 @@
 
 One :class:`PcsmaMac` instance owns the back-off state of every device in a
 run, in array form, next to the per-device persistence values.  Whether a
-device is on air is the channel-state array's busy flag, and nothing else:
-the MAC books it at air-start and the gateway model frees it at air-end.
-Both the p-CSMA behaviour and the pure-ALOHA baseline live here.
+device is on air is membership of the channel state's on-air set, and
+nothing else: the MAC books it at air-start and the gateway model frees it
+at air-end.  Both the p-CSMA behaviour and the pure-ALOHA baseline live here.
 
 Timing of the periodic traffic: a new generation is scheduled one period
 after a transmission starts (a backed-off packet therefore shifts the
@@ -29,7 +29,7 @@ DUTY_WINDOW_US = 3600 * US_PER_S
 
 
 class ChannelStateArray:
-    """One busy flag per device: 0 idle, 1 transmitting.
+    """The set of devices on air.
 
     Transitions follow idle -> occupied -> idle only; violating that is a
     logic bug and raises immediately.
@@ -38,27 +38,27 @@ class ChannelStateArray:
     def __init__(self, n_devices: int) -> None:
         if n_devices < 1:
             raise ValueError("need at least one device")
-        self.flags = [0] * n_devices
+        self.on_air: set[int] = set()
         self.book_count = 0
         self.free_count = 0
 
     def book(self, device: int) -> None:
-        if self.flags[device]:
+        if device in self.on_air:
             raise RuntimeError(f"device {device} booked while already transmitting")
-        self.flags[device] = 1
+        self.on_air.add(device)
         self.book_count += 1
 
     def free(self, device: int) -> None:
-        if not self.flags[device]:
+        if device not in self.on_air:
             raise RuntimeError(f"device {device} freed while already idle")
-        self.flags[device] = 0
+        self.on_air.remove(device)
         self.free_count += 1
 
     def is_busy(self, device: int) -> bool:
-        return bool(self.flags[device])
+        return device in self.on_air
 
     def all_idle(self) -> bool:
-        return not any(self.flags)
+        return not self.on_air
 
 
 def shall_it_pass(p: float, rng: RngStream) -> bool:
@@ -71,8 +71,9 @@ class PcsmaMac:
         self,
         sched: Scheduler,
         channel: ChannelStateArray,
+        gateway: "GatewayPhy",
         persistence: list[float],
-        neighbors: list[list[int]],
+        vicinity: list[bytes],
         counters: "Counters",
         records: list,
         persistence_rng: RngStream,
@@ -86,14 +87,15 @@ class PcsmaMac:
         aloha: bool = False,
         duty_cycle_enforce: bool = False,
     ) -> None:
-        n = len(neighbors)
+        n = len(vicinity)
         for device, p in enumerate(persistence):
             if not 0.0 < p <= 1.0:
                 raise ValueError(f"persistence for device {device} must be in (0, 1], got {p}")
         self.sched = sched
         self.channel = channel
+        self.gateway = gateway
         self.persistence = [float(p) for p in persistence]
-        self.neighbors = neighbors
+        self.vicinity = vicinity
         self.counters = counters
         self.records = records
         self.rng = persistence_rng
@@ -105,7 +107,6 @@ class PcsmaMac:
         self.periodic = periodic
         self.aloha = aloha
         self.duty_cycle_enforce = duty_cycle_enforce
-        self.gateway: "GatewayPhy | None" = None  # attached after construction
 
         self.backoff = [False] * n
         self._duty_log: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -115,12 +116,12 @@ class PcsmaMac:
     def sense(self, device: int) -> bool:
         """True iff some device in the vicinity set is transmitting.
 
-        The sensing device's own flag is ignored and the transmitters' SFs
-        are not consulted (energy-style detection).
+        Checks who is on air against the sensor's vicinity row, whose own
+        entry is 0; the transmitters' SFs are not consulted (energy-style).
         """
-        flags = self.channel.flags
-        for j in self.neighbors[device]:
-            if flags[j]:
+        row = self.vicinity[device]
+        for j in self.channel.on_air:
+            if row[j]:
                 return True
         return False
 
@@ -134,13 +135,14 @@ class PcsmaMac:
         starts a back-off, and persistence gates only the reclaim attempts.
         """
         self.counters.generated += 1
-        if self.channel.flags[device] or self.backoff[device]:
+        if device in self.channel.on_air or self.backoff[device]:
             # One pending packet per device: drop the new one, keep the clock.
             self.counters.suppressed += 1
             self._schedule_next_generation(device)
         elif not self.aloha and self.sense(device):
             self.backoff[device] = True
-            self.sched.schedule_in(self.sense_us[device], self.retry_claiming, device)
+            sched = self.sched
+            sched.schedule(sched.now_us + self.sense_us[device], self.retry_claiming, device)
         else:
             self._start_transmission(device)
 
@@ -155,36 +157,34 @@ class PcsmaMac:
         if not self.sense(device) and shall_it_pass(self.persistence[device], self.rng):
             self._start_transmission(device)
         else:
-            self.sched.schedule_in(self.sense_us[device], self.retry_claiming, device)
+            sched = self.sched
+            sched.schedule(sched.now_us + self.sense_us[device], self.retry_claiming, device)
 
     # -- transmission ------------------------------------------------------
 
     def _start_transmission(self, device: int) -> None:
-        now = self.sched.now_us
+        sched = self.sched
+        now = sched.now_us
         self.backoff[device] = False
         if self.duty_cycle_enforce and self._duty_exceeded(device, now):
             self.counters.suppressed += 1
             self._schedule_next_generation(device)
             return
         self.channel.book(device)
-        rec = TxRecord(
-            device=device,
-            sf=self.sf[device],
-            air_start_us=now,
-            air_end_us=now + self.toa_us[device],
-            prx_dbm=self.prx_dbm[device],
-        )
+        toa = self.toa_us[device]
+        rec = TxRecord(device, self.sf[device], now, now + toa, self.prx_dbm[device])
         self.records.append(rec)
-        assert self.gateway is not None
-        self.gateway.on_tx_start(rec)
-        self.sched.schedule(rec.air_end_us, self.gateway.on_tx_end, rec)
+        gateway = self.gateway
+        gateway.on_tx_start(rec)
+        sched.schedule(now + toa, gateway.on_tx_end, rec)
         if self.duty_cycle_enforce:
-            self._duty_log[device].append((now, self.toa_us[device]))
+            self._duty_log[device].append((now, toa))
         self._schedule_next_generation(device)
 
     def _schedule_next_generation(self, device: int) -> None:
         if self.periodic:
-            self.sched.schedule_in(self.period_us[device], self.generate, device)
+            sched = self.sched
+            sched.schedule(sched.now_us + self.period_us[device], self.generate, device)
 
     # -- duty cycle guard (off by default) ---------------------------------
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import phy, topology
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .gateway import GatewayPhy, TxRecord
 from .kernel import RngStreams, Scheduler, us_from_s
 from .mac import ChannelStateArray, PcsmaMac
@@ -42,14 +42,15 @@ def build_topology(cfg: RunConfig, streams: RngStreams) -> topology.Topology:
     """The run's devices, their gateway receive powers and the vicinity matrix.
 
     Devices come from ``cfg.device_file`` as listed, or else from generated
-    placement: validated cluster geometry, round-robin attributes.
+    placement: validated cluster geometry, round-robin attributes.  Either
+    way each device then draws its shadowing fade, in device order.
     """
     loss = cfg.loss_params()
     table = cfg.sensitivity_table()
     if cfg.device_file is not None:
         devices = topology.load_device_file(cfg.device_file, cfg.tx_power_dbm)
         if cfg.n_devices != len(devices):
-            raise ValueError(
+            raise ConfigError(
                 f"n_devices={cfg.n_devices} but {cfg.device_file!r} defines {len(devices)} devices"
             )
     else:
@@ -59,10 +60,10 @@ def build_topology(cfg: RunConfig, streams: RngStreams) -> topology.Topology:
         devices = topology.assign_attributes(
             positions, cfg.sf_set, cfg.period_set_s, cfg.p, cfg.tx_power_dbm
         )
-        if cfg.shadowing_sigma_db > 0:
-            shadow_rng = streams.stream(STREAM_SHADOWING)
-            for dev in devices:
-                dev.shadow_db = shadow_rng.normal(cfg.shadowing_sigma_db)
+    if cfg.shadowing_sigma_db > 0:
+        shadow_rng = streams.stream(STREAM_SHADOWING)
+        for dev in devices:
+            dev.shadow_db = shadow_rng.normal(cfg.shadowing_sigma_db)
     prx = topology.gateway_rx_dbm(devices, loss)
     # A device file may list devices out of coverage; generated placement
     # without shadowing promises coverage.
@@ -113,13 +114,16 @@ class Simulation:
         else:
             sense_us = dict.fromkeys(sfs, us_from_s(cfg.sensing_interval_s))
 
-        neighbors = [list(np.flatnonzero(vicinity[i])) for i in range(len(devices))]
+        rows = np.array(vicinity, dtype=bool)  # to 0/1 bytes per sensor, own entry 0
+        np.fill_diagonal(rows, False)
         self.channel = ChannelStateArray(len(devices))
+        self.gateway = GatewayPhy(cfg.gateway_paths, table, self.counters, self.channel.free)
         self.mac = PcsmaMac(
             self.sched,
             self.channel,
+            self.gateway,
             [d.persistence for d in devices],
-            neighbors,
+            [row.tobytes() for row in rows],
             self.counters,
             self.records,
             self.streams.stream(STREAM_PERSISTENCE),
@@ -132,8 +136,6 @@ class Simulation:
             aloha=cfg.mac == "aloha",
             duty_cycle_enforce=cfg.duty_cycle_enforce,
         )
-        self.gateway = GatewayPhy(cfg.gateway_paths, table, self.counters, self.channel.free)
-        self.mac.gateway = self.gateway
 
     # -- traffic seeding ---------------------------------------------------
 
@@ -177,8 +179,9 @@ class Simulation:
 
         # Packets without a final outcome when the clock stops: waiting in
         # back-off or still on air.  On-air ones (air-end not yet fired)
-        # release their path and flag so conservation holds for every run.
-        self.counters.pending_at_end = sum(self.mac.backoff) + sum(self.channel.flags)
+        # release their path and leave the on-air set so conservation holds
+        # for every run.
+        self.counters.pending_at_end = sum(self.mac.backoff) + len(self.channel.on_air)
         for rec in self.records:
             if rec.air_end_us > self.sched.now_us:
                 self.gateway.abort(rec)

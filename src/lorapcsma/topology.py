@@ -12,6 +12,11 @@ from . import phy
 from .kernel import RngStream, us_from_s
 
 
+class ConfigError(ValueError):
+    """Invalid or malformed configuration or device file; the message names
+    the key or the file line."""
+
+
 class GeometryError(ValueError):
     """Requested cluster geometry cannot satisfy hiding/coverage bounds."""
 
@@ -228,7 +233,7 @@ def load_device_file(
             continue
         parts = line.replace(",", " ").split()
         if len(parts) != 7:
-            raise ValueError(f"{path}:{lineno}: expected 7 fields (id x y z sf period_s p)")
+            raise ConfigError(f"{path}:{lineno}: expected 7 fields (id x y z sf period_s p)")
         try:
             dev_id = int(parts[0])
             x, y, z = (float(v) for v in parts[1:4])
@@ -236,21 +241,21 @@ def load_device_file(
             period_s = float(parts[5])
             p = float(parts[6])
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
         for name, value in zip(("x", "y", "z", "period_s", "p"), (x, y, z, period_s, p)):
             if not math.isfinite(value):
-                raise ValueError(f"{path}:{lineno}: {name} must be finite, got {value}")
+                raise ConfigError(f"{path}:{lineno}: {name} must be finite, got {value}")
         if not phy.SF_MIN <= sf <= phy.SF_MAX:
-            raise ValueError(f"{path}:{lineno}: spreading factor {sf} out of range")
+            raise ConfigError(f"{path}:{lineno}: spreading factor {sf} out of range")
         if not 0.0 < p <= 1.0:
-            raise ValueError(f"{path}:{lineno}: persistence {p} not in (0, 1]")
+            raise ConfigError(f"{path}:{lineno}: persistence {p} not in (0, 1]")
         if us_from_s(period_s) < 1:
-            raise ValueError(f"{path}:{lineno}: period must be at least 1 us")
+            raise ConfigError(f"{path}:{lineno}: period must be at least 1 us")
         if dev_id in rows:
-            raise ValueError(f"{path}:{lineno}: duplicate device id {dev_id}")
+            raise ConfigError(f"{path}:{lineno}: duplicate device id {dev_id}")
         rows[dev_id] = DeviceSpec(dev_id, x, y, z, sf, tx_power_dbm, period_s, p)
     if sorted(rows) != list(range(len(rows))):
-        raise ValueError(f"{path}: device ids must be consecutive from 0")
+        raise ConfigError(f"{path}: device ids must be consecutive from 0")
     return [rows[i] for i in range(len(rows))]
 
 

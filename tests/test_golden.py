@@ -1,4 +1,4 @@
-"""Golden digests of the sweep CSV and of a trace.
+"""Golden digests of the sweep CSV, of traces and of the ALOHA validation CSV.
 
 The digests pin the simulator's observable output for fixed seeds; a
 change that alters them changes behaviour, not just code.
@@ -8,15 +8,18 @@ import hashlib
 import io
 from pathlib import Path
 
+from lorapcsma import phy
 from lorapcsma.config import RunConfig, SweepGrid, load_config
 from lorapcsma.metrics import write_csv, write_trace
 from lorapcsma.simulation import run_scenario
-from lorapcsma.sweep import run_sweep
+from lorapcsma.sweep import aloha_csv_text, aloha_validation, run_sweep
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 SWEEP_CSV_SHA256 = "9aa4f336b99c2fc44e6e747fafc61756b04abe1e486401374df020537ae260e8"
 MIXED_SF_TRACE_SHA256 = "dc387ea5632a30a6e3324e387108ee4a905ac24a5e93daa948f9c39026a57c07"
+DENSE_PCSMA_TRACE_SHA256 = "6310221eb0938265e985564131a71148ff47aa6d8b7ce1a6fa1f425702d70da9"
+ALOHA_CSV_SHA256 = "68332511ef10cb9cbeebd73b0211620a1fc22527534e7e8ed0beaf5e4c04528e"
 
 
 def _sha256(write, data) -> str:
@@ -40,3 +43,20 @@ def test_sweep_csv_matches_golden_digest():
 def test_mixed_sf_trace_matches_golden_digest():
     cfg = RunConfig(n_devices=60, n_areas=3, sf_set=(8, 9, 10), p=0.25, seed=5)
     assert _sha256(write_trace, run_scenario(cfg).records) == MIXED_SF_TRACE_SHA256
+
+
+def test_dense_pcsma_trace_matches_golden_digest():
+    # One area, low persistence: most generations sense busy and poll in back-off.
+    cfg = RunConfig(n_devices=200, n_areas=1, p=0.1, period_set_s=(60.0,), sim_time_s=300.0, seed=3)
+    result = run_scenario(cfg)
+    assert result.audit.events_executed - 2 * result.counters.sent > 500  # back-off polls
+    assert _sha256(write_trace, result.records) == DENSE_PCSMA_TRACE_SHA256
+
+
+def test_aloha_validation_csv_matches_golden_digest():
+    toa_s = phy.time_on_air(8, phy.RadioParams())
+    cfg = RunConfig(
+        n_devices=100, sim_time_s=20_000 * toa_s, mac="aloha", traffic="poisson", sf_set=(8,)
+    )
+    text = aloha_csv_text(aloha_validation([0.5], cfg))
+    assert hashlib.sha256(text.encode()).hexdigest() == ALOHA_CSV_SHA256

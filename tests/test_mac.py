@@ -20,20 +20,22 @@ class FakeRng:
 
 
 def test_create_channel_state_all_idle():
-    assert ChannelStateArray(1).flags == [0]
+    assert ChannelStateArray(1).all_idle()
     state = ChannelStateArray(100)
-    assert state.flags == [0] * 100
-    assert not state.is_busy(37)
+    assert state.all_idle()
+    assert not any(state.is_busy(d) for d in range(100))
 
 
 def test_book_free_transitions_and_errors():
     state = ChannelStateArray(5)
     state.book(3)
-    assert state.flags == [0, 0, 0, 1, 0]
+    assert [state.is_busy(d) for d in range(5)] == [False, False, False, True, False]
+    assert not state.all_idle()
     with pytest.raises(RuntimeError):
         state.book(3)
     state.free(3)
-    assert state.flags == [0, 0, 0, 0, 0]
+    assert not any(state.is_busy(d) for d in range(5))
+    assert state.all_idle()
     with pytest.raises(RuntimeError):
         state.free(3)
     assert state.book_count == 1 and state.free_count == 1
@@ -44,14 +46,14 @@ def test_sense_over_vicinity_set():
     devices = devices_at([(0.0, 0.0), (1.0, 0.0), (5000.0, 0.0)])
     sim = make_sim(devices)
     mac, channel = sim.mac, sim.channel
-    assert not mac.sense(0)  # all flags 0
+    assert not mac.sense(0)  # nobody on air
     channel.book(2)
     assert not mac.sense(0)  # only a hidden device transmitting
     channel.book(1)
     assert mac.sense(0)
     channel.free(1)
     channel.book(0)
-    assert not mac.sense(0)  # own flag ignored
+    assert not mac.sense(0)  # own transmission ignored
 
 
 def test_sense_ignores_transmitter_sf():

@@ -1,14 +1,18 @@
-"""Property test: every accepted random config terminates, conserves and replays."""
+"""Property tests: accepted random configs terminate, conserve and replay;
+carrier sensing agrees with the vicinity-matrix oracle."""
 
 import io
+
+import numpy as np
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import devices_at
 from lorapcsma.config import ConfigError, RunConfig
 from lorapcsma.gateway import Outcome
 from lorapcsma.metrics import write_trace
-from lorapcsma.simulation import run_scenario
+from lorapcsma.simulation import Simulation, run_scenario
 from lorapcsma.topology import GeometryError
 
 probabilities = st.floats(0.01, 1.0)
@@ -65,3 +69,33 @@ def test_accepted_configs_terminate_conserve_and_replay(cfg):
     replay = run_scenario(cfg)
     assert replay.counters == c
     assert _trace(replay) == _trace(result)
+
+
+@st.composite
+def vicinities_and_toggles(draw):
+    n = draw(st.integers(1, 12))
+    cells = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    toggles = draw(st.lists(st.integers(0, n - 1), max_size=40))
+    return np.array(cells, dtype=bool).reshape(n, n), toggles
+
+
+@settings(max_examples=100, deadline=None)
+@given(vicinities_and_toggles())
+def test_sense_matches_the_vicinity_matrix_oracle(case):
+    # Random, possibly asymmetric matrices with arbitrary diagonals; the
+    # integer copy checks that Simulation normalises 0/1 entries to bool.
+    vicinity, toggles = case
+    n = len(vicinity)
+    devices = devices_at([(float(i), 0.0) for i in range(n)])
+    sims = [
+        Simulation(RunConfig(n_devices=n), devices, matrix)
+        for matrix in (vicinity, vicinity.astype(np.int64))
+    ]
+    for step in [None, *toggles]:
+        for sim in sims:
+            if step is not None:
+                (sim.channel.free if sim.channel.is_busy(step) else sim.channel.book)(step)
+            busy = [sim.channel.is_busy(j) for j in range(n)]
+            for d in range(n):
+                oracle = any(vicinity[d, j] and busy[j] for j in range(n) if j != d)
+                assert sim.mac.sense(d) == oracle

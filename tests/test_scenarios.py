@@ -12,9 +12,23 @@ from conftest import overlapping_pairs
 from lorapcsma import cli
 from lorapcsma.config import ConfigError, RunConfig, SweepGrid
 from lorapcsma.gateway import Outcome
+from lorapcsma.kernel import RngStreams
 from lorapcsma.metrics import compute_prr, write_csv, write_trace
-from lorapcsma.simulation import run_scenario
+from lorapcsma.simulation import build_topology, run_scenario
 from lorapcsma.sweep import aloha_validation, result_row, run_sweep
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _run_cli(*argv):
+    """``lorapcsma`` in a subprocess, killed if it does not finish in 30 s."""
+    return subprocess.run(
+        [sys.executable, "-m", "lorapcsma.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
 
 
 def test_single_device_hourly_schedule():
@@ -199,8 +213,30 @@ def test_device_file_count_mismatch(tmp_path):
     path = tmp_path / "devices.txt"
     path.write_text("0 0 0 0 8 100 1.0\n")
     cfg = RunConfig(n_devices=2, device_file=str(path))
-    with pytest.raises(ValueError, match="defines 1 devices"):
+    with pytest.raises(ConfigError, match="defines 1 devices"):
         run_scenario(cfg)
+
+
+def test_device_file_draws_shadowing(tmp_path):
+    path = tmp_path / "devices.txt"
+    path.write_text("0 100 0 0 8 100 1.0\n1 200 0 0 8 100 1.0\n2 300 0 0 8 100 1.0\n")
+    prx = {
+        sigma: build_topology(
+            RunConfig(n_devices=3, device_file=str(path), shadowing_sigma_db=sigma), RngStreams(1)
+        ).prx_dbm
+        for sigma in (0.0, 12.0)
+    }
+    assert all(a != b for a, b in zip(prx[0.0], prx[12.0]))
+
+
+def test_cli_device_file_fault_exits_2_naming_the_line(tmp_path):
+    devices = tmp_path / "devices.txt"
+    devices.write_text("0 0 0 0 8 100 1.0\n1 nan 0 0 8 100 1.0\n")
+    config = tmp_path / "scenario.cfg"
+    config.write_text(f"n_devices = 2\ndevice_file = {devices}\n")
+    proc = _run_cli("run", "--config", str(config))
+    assert proc.returncode == 2
+    assert f"{devices}:2: x must be finite" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_device_file_poisson_gap_uses_device_0s_sf(tmp_path):
@@ -212,14 +248,7 @@ def test_device_file_poisson_gap_uses_device_0s_sf(tmp_path):
         "n_devices = 1\nsf_set = {12}\ntraffic = poisson\noffered_load = 1e6\n"
         f"device_file = {tmp_path / 'devices.txt'}\n"
     )
-    src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
-        [sys.executable, "-m", "lorapcsma.cli", "run", "--config", str(config)],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        timeout=30,
-    )
+    proc = _run_cli("run", "--config", str(config))
     assert proc.returncode == 2
     assert "offered_load" in proc.stderr and "Traceback" not in proc.stderr
 

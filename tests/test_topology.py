@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lorapcsma import phy
+from lorapcsma.config import ConfigError
 from lorapcsma.kernel import RngStreams
 from lorapcsma.topology import (
     ClusterGeometry,
@@ -166,5 +167,5 @@ def test_device_file_round_trip(tmp_path):
 def test_device_file_rejects_bad_rows(tmp_path, line, match):
     path = tmp_path / "devices.txt"
     path.write_text(line + "\n")
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ConfigError, match=match):
         load_device_file(path)

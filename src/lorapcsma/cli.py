@@ -56,7 +56,7 @@ def _cmd_run(args) -> int:
         cfg = replace(cfg, mac=args.mode)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    result = run_scenario(cfg)
+    result = run_scenario(cfg, keep_records=bool(args.trace))
     scenario = Path(args.config).stem
     row = result_row(scenario, cfg.seed, cfg, result.counters)
     prr_generated, prr_sent = compute_prr(result.counters)

@@ -70,6 +70,10 @@ def _label_key(label: str) -> int:
     return int.from_bytes(hashlib.sha256(label.encode()).digest()[:8], "big")
 
 
+# Values drawn from the generator per refill of a stream's block.
+RNG_BLOCK = 256
+
+
 class RngStream:
     """One named, independently seeded random stream.
 
@@ -77,6 +81,11 @@ class RngStream:
     is fully specified, so (seed, stream_id, draw index) -> value holds
     across platforms.  Distinct labels under the same seed give distinct
     sequences.
+
+    Uniform and exponential values are drawn in blocks of ``RNG_BLOCK`` and
+    served one by one; each equals the value a scalar draw would have
+    returned.  A stream serves one distribution only, since a second block
+    would take values out of the first one's order.
     """
 
     def __init__(self, seed: int, label: str) -> None:
@@ -84,15 +93,39 @@ class RngStream:
         self._gen = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([seed, _label_key(label)]))
         )
+        self._kind: str | None = None
+        self._block: list[float] = []  # next value last
+
+    def _claim(self, kind: str) -> None:
+        if self._kind is None:
+            self._kind = kind
+        elif self._kind != kind:
+            raise RuntimeError(
+                f"stream {self.label!r} draws {self._kind} values, not {kind} values"
+            )
+
+    def _refill(self, kind: str) -> list[float]:
+        self._claim(kind)
+        gen = self._gen
+        draws = gen.random(RNG_BLOCK) if kind == "uniform" else gen.standard_exponential(RNG_BLOCK)
+        self._block = block = draws[::-1].tolist()
+        return block
 
     def uniform(self) -> float:
         """Next value, uniform on [0, 1)."""
-        return float(self._gen.random())
+        block = self._block
+        if not block or self._kind != "uniform":
+            block = self._refill("uniform")
+        return block.pop()
 
     def exponential(self, mean: float) -> float:
-        return float(self._gen.exponential(mean))
+        block = self._block
+        if not block or self._kind != "exponential":
+            block = self._refill("exponential")
+        return mean * block.pop()
 
     def normal(self, sigma: float) -> float:
+        self._claim("normal")
         return float(self._gen.normal(0.0, sigma))
 
 

@@ -2,9 +2,10 @@
 
 One :class:`PcsmaMac` instance owns the back-off state of every device in a
 run, in array form, next to the per-device persistence values.  Whether a
-device is on air is membership of the channel state's on-air set, and
-nothing else: the MAC books it at air-start and the gateway model frees it
-at air-end.  Both the p-CSMA behaviour and the pure-ALOHA baseline live here.
+device is on air is membership of the channel state's on-air map, and
+nothing else: the MAC books it with its packet at air-start and the gateway
+model frees it at air-end.  Both the p-CSMA behaviour and the pure-ALOHA
+baseline live here.
 
 Timing of the periodic traffic: a new generation is scheduled one period
 after a transmission starts (a backed-off packet therefore shifts the
@@ -29,7 +30,7 @@ DUTY_WINDOW_US = 3600 * US_PER_S
 
 
 class ChannelStateArray:
-    """The set of devices on air.
+    """The devices on air, each mapped to the packet it is sending.
 
     Transitions follow idle -> occupied -> idle only; violating that is a
     logic bug and raises immediately.
@@ -38,20 +39,20 @@ class ChannelStateArray:
     def __init__(self, n_devices: int) -> None:
         if n_devices < 1:
             raise ValueError("need at least one device")
-        self.on_air: set[int] = set()
+        self.on_air: dict[int, TxRecord] = {}
         self.book_count = 0
         self.free_count = 0
 
-    def book(self, device: int) -> None:
+    def book(self, device: int, rec: TxRecord) -> None:
         if device in self.on_air:
             raise RuntimeError(f"device {device} booked while already transmitting")
-        self.on_air.add(device)
+        self.on_air[device] = rec
         self.book_count += 1
 
     def free(self, device: int) -> None:
         if device not in self.on_air:
             raise RuntimeError(f"device {device} freed while already idle")
-        self.on_air.remove(device)
+        del self.on_air[device]
         self.free_count += 1
 
     def is_busy(self, device: int) -> bool:
@@ -75,7 +76,7 @@ class PcsmaMac:
         persistence: list[float],
         vicinity: list[bytes],
         counters: "Counters",
-        records: list,
+        records: list[TxRecord] | None,
         persistence_rng: RngStream,
         *,
         sf: list[int],
@@ -97,7 +98,7 @@ class PcsmaMac:
         self.persistence = [float(p) for p in persistence]
         self.vicinity = vicinity
         self.counters = counters
-        self.records = records
+        self.records = records  # transmission log; None keeps none
         self.rng = persistence_rng
         self.sf = sf
         self.prx_dbm = prx_dbm
@@ -170,10 +171,11 @@ class PcsmaMac:
             self.counters.suppressed += 1
             self._schedule_next_generation(device)
             return
-        self.channel.book(device)
         toa = self.toa_us[device]
         rec = TxRecord(device, self.sf[device], now, now + toa, self.prx_dbm[device])
-        self.records.append(rec)
+        self.channel.book(device, rec)
+        if self.records is not None:
+            self.records.append(rec)
         gateway = self.gateway
         gateway.on_tx_start(rec)
         sched.schedule(now + toa, gateway.on_tx_end, rec)

@@ -33,7 +33,7 @@ class RunAudit:
 @dataclass
 class RunResult:
     counters: Counters
-    records: list[TxRecord]
+    records: list[TxRecord] | None  # None unless the run kept its log
     audit: RunAudit
     vicinity: np.ndarray
 
@@ -81,7 +81,9 @@ def build_topology(cfg: RunConfig, streams: RngStreams) -> topology.Topology:
 class Simulation:
     """One independent run: owns the clock, all MAC state, and the gateway.
 
-    Every random stream is seeded from ``cfg.seed``.
+    Every random stream is seeded from ``cfg.seed``.  With ``keep_records``
+    the run logs every transmission for its result; without it the run
+    holds only the packets on air, so its memory does not grow with time.
     """
 
     def __init__(
@@ -92,6 +94,7 @@ class Simulation:
         *,
         prx_dbm: list[float] | None = None,
         offsets_s: list[float] | None = None,
+        keep_records: bool = True,
     ) -> None:
         self.cfg = cfg
         self.devices = devices
@@ -100,7 +103,7 @@ class Simulation:
         self.streams = RngStreams(cfg.seed)
         self.sched = Scheduler()
         self.counters = Counters()
-        self.records: list[TxRecord] = []
+        self.records: list[TxRecord] | None = [] if keep_records else None
 
         radio = cfg.radio_params()
         loss = cfg.loss_params()
@@ -179,12 +182,12 @@ class Simulation:
 
         # Packets without a final outcome when the clock stops: waiting in
         # back-off or still on air.  On-air ones (air-end not yet fired)
-        # release their path and leave the on-air set so conservation holds
+        # release their path and leave the on-air map so conservation holds
         # for every run.
-        self.counters.pending_at_end = sum(self.mac.backoff) + len(self.channel.on_air)
-        for rec in self.records:
-            if rec.air_end_us > self.sched.now_us:
-                self.gateway.abort(rec)
+        on_air = self.channel.on_air
+        self.counters.pending_at_end = sum(self.mac.backoff) + len(on_air)
+        for rec in list(on_air.values()):
+            self.gateway.abort(rec)
 
         self.counters.check()
         audit = RunAudit(
@@ -202,14 +205,19 @@ class Simulation:
         )
 
 
-def run_scenario(cfg: RunConfig, seed: int | None = None) -> RunResult:
+def run_scenario(
+    cfg: RunConfig, seed: int | None = None, *, keep_records: bool = True
+) -> RunResult:
     """Build the configured topology, run one scenario, return its result.
 
-    ``seed``, when given, replaces ``cfg.seed``.
+    ``seed``, when given, replaces ``cfg.seed``; ``keep_records=False``
+    leaves ``result.records`` at None.
     """
     if seed is not None:
         cfg = replace(cfg, seed=seed)
     cfg.validate()
     topo = build_topology(cfg, RngStreams(cfg.seed))
-    sim = Simulation(cfg, topo.devices, topo.vicinity, prx_dbm=topo.prx_dbm)
+    sim = Simulation(
+        cfg, topo.devices, topo.vicinity, prx_dbm=topo.prx_dbm, keep_records=keep_records
+    )
     return sim.run()

@@ -83,7 +83,7 @@ def run_sweep(base_cfg: RunConfig, grid: SweepGrid) -> list[dict]:
         name = scenario_name(cfg.n_devices, cfg.sf_set, cfg.p, cfg.n_areas)
         prrs = []
         for seed in grid.seeds:
-            result = run_scenario(cfg, seed=seed)
+            result = run_scenario(cfg, seed=seed, keep_records=False)
             row = result_row(name, seed, cfg, result.counters)
             rows.append(row)
             if row["prr_generated"] is not None:
@@ -114,7 +114,7 @@ def aloha_validation(g_values, cfg: RunConfig) -> list[dict]:
         if g <= 0:
             raise ConfigError(f"offered load must be positive, got {g}")
         point = replace(cfg, offered_load=float(g), seed=cfg.seed + idx)
-        result = run_scenario(point)
+        result = run_scenario(point, keep_records=False)
         packet_times = cfg.sim_time_s / toa_s
         rows.append(
             {

@@ -177,10 +177,8 @@ def assign_attributes(
     ]
 
 
-def distance_matrix(devices: list[DeviceSpec]) -> np.ndarray:
-    xyz = np.array([[d.x, d.y, d.z] for d in devices])
-    diff = xyz[:, None, :] - xyz[None, :, :]
-    return np.sqrt((diff**2).sum(axis=2))
+# Float cells per row block of the vicinity build (2 MB per temporary).
+VICINITY_BLOCK_CELLS = 1 << 18
 
 
 def build_vicinity(
@@ -193,16 +191,32 @@ def build_vicinity(
     Detection of j's transmissions uses j's SF with the end-device
     sensitivity row, so mixed-SF topologies may be asymmetric.  The diagonal
     is false: a device is not in its own vicinity set.
+
+    Distances are computed a block of rows at a time, as
+    ``sqrt((dx**2 + dy**2) + dz**2)``, so no N x N float matrix is kept.
     """
     n = len(devices)
-    dist = distance_matrix(devices)
+    x, y, z = np.array([[d.x, d.y, d.z] for d in devices]).T
     ranges = np.array(
         [
             phy.detect_range_m(d.sf, phy.END_DEVICE, d.effective_tx_dbm, loss, table)
             for d in devices
         ]
     )
-    matrix = dist <= ranges[None, :]
+    matrix = np.empty((n, n), dtype=bool)
+    rows = max(1, VICINITY_BLOCK_CELLS // n)
+    for lo in range(0, n, rows):
+        block = slice(lo, lo + rows)
+        dist = np.subtract.outer(x[block], x)
+        dist *= dist
+        sq = np.subtract.outer(y[block], y)
+        sq *= sq
+        dist += sq
+        np.subtract.outer(z[block], z, out=sq)
+        sq *= sq
+        dist += sq
+        np.sqrt(dist, out=dist)
+        np.less_equal(dist, ranges, out=matrix[block])
     np.fill_diagonal(matrix, False)
     return matrix
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lorapcsma.kernel import RngStreams, Scheduler, us_from_s
+from lorapcsma.kernel import RNG_BLOCK, RngStream, RngStreams, Scheduler, us_from_s
 
 
 def test_fifo_tie_break():
@@ -92,3 +92,35 @@ def test_distinct_stream_ids_give_distinct_sequences():
     a = [streams.stream("traffic").uniform() for _ in range(1000)]
     b = [streams.stream("persistence").uniform() for _ in range(1000)]
     assert a != b
+
+
+def _scalar_generator(seed, label):
+    # A fresh copy of the stream's generator, drawn one value at a time.
+    return RngStream(seed, label)._gen
+
+
+def test_block_draws_equal_scalar_draws():
+    n = 3 * RNG_BLOCK + 5  # crosses several refills
+    stream, gen = RngStream(11, "u"), _scalar_generator(11, "u")
+    assert [stream.uniform() for _ in range(n)] == [float(gen.random()) for _ in range(n)]
+    means = [0.5 + k % 7 for k in range(n)]  # the mean may change per draw
+    stream, gen = RngStream(11, "e"), _scalar_generator(11, "e")
+    assert [stream.exponential(m) for m in means] == [float(gen.exponential(m)) for m in means]
+    stream, gen = RngStream(11, "n"), _scalar_generator(11, "n")
+    assert [stream.normal(2.0) for _ in range(10)] == [float(gen.normal(0.0, 2.0)) for _ in range(10)]
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [("uniform", "exponential"), ("exponential", "uniform"), ("uniform", "normal"), ("normal", "exponential")],
+)
+def test_a_stream_serves_one_distribution(first, second):
+    draw = {
+        "uniform": lambda s: s.uniform(),
+        "exponential": lambda s: s.exponential(1.0),
+        "normal": lambda s: s.normal(1.0),
+    }
+    stream = RngStream(3, "mixed")
+    draw[first](stream)
+    with pytest.raises(RuntimeError, match="mixed"):
+        draw[second](stream)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import devices_at
 from lorapcsma.config import ConfigError, RunConfig
-from lorapcsma.gateway import Outcome
+from lorapcsma.gateway import Outcome, TxRecord
 from lorapcsma.metrics import write_trace
 from lorapcsma.simulation import Simulation, run_scenario
 from lorapcsma.topology import GeometryError
@@ -69,6 +69,11 @@ def test_accepted_configs_terminate_conserve_and_replay(cfg):
     replay = run_scenario(cfg)
     assert replay.counters == c
     assert _trace(replay) == _trace(result)
+    # Without the log the run ends by aborting its on-air packets alone.
+    unlogged = run_scenario(cfg, keep_records=False)
+    assert unlogged.records is None
+    assert unlogged.counters == c
+    assert unlogged.audit == audit
 
 
 @st.composite
@@ -94,7 +99,10 @@ def test_sense_matches_the_vicinity_matrix_oracle(case):
     for step in [None, *toggles]:
         for sim in sims:
             if step is not None:
-                (sim.channel.free if sim.channel.is_busy(step) else sim.channel.book)(step)
+                if sim.channel.is_busy(step):
+                    sim.channel.free(step)
+                else:
+                    sim.channel.book(step, TxRecord(step, 8, 0, 1, 0.0))
             busy = [sim.channel.is_busy(j) for j in range(n)]
             for d in range(n):
                 oracle = any(vicinity[d, j] and busy[j] for j in range(n) if j != d)

@@ -4,12 +4,13 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from conftest import overlapping_pairs
-from lorapcsma import cli
+from lorapcsma import cli, phy, sweep
 from lorapcsma.config import ConfigError, RunConfig, SweepGrid
 from lorapcsma.gateway import Outcome
 from lorapcsma.kernel import RngStreams
@@ -175,8 +176,6 @@ def test_sweep_is_order_independent():
 
 
 def test_aloha_validation_low_load_limit():
-    from lorapcsma import phy
-
     toa = phy.time_on_air(8, phy.RadioParams())
     cfg = RunConfig(
         n_devices=50, mac="aloha", traffic="poisson", sf_set=(8,),
@@ -184,6 +183,31 @@ def test_aloha_validation_low_load_limit():
     )
     (row,) = aloha_validation([0.02], cfg)
     assert row["throughput"] == pytest.approx(row["theoretical"], abs=0.005)
+
+
+def _traced_peak_bytes(packet_times: int) -> int:
+    """Peak traced allocation of one unlogged ALOHA run at G = 0.5."""
+    toa = phy.time_on_air(8, phy.RadioParams())
+    cfg = RunConfig(
+        n_devices=100, mac="aloha", traffic="poisson", sf_set=(8,), offered_load=0.5,
+        sim_time_s=packet_times * toa, seed=1,
+    )
+    tracemalloc.start()
+    try:
+        result = run_scenario(cfg, keep_records=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.counters.sent > packet_times * 0.4  # about G per packet-time
+    return peak
+
+
+def test_unlogged_run_memory_does_not_grow_with_time():
+    # A run without its log holds only the packets on air: ten times the
+    # packet-times (about 9000 more transmissions) adds almost nothing.
+    _traced_peak_bytes(2_000)  # first-call allocations stay out of the comparison
+    growth = _traced_peak_bytes(20_000) - _traced_peak_bytes(2_000)
+    assert growth < 256 * 1024
 
 
 def test_aloha_validation_requires_aloha_poisson():
@@ -296,6 +320,29 @@ def test_cli_run_writes_csv_and_trace(tmp_path, capsys):
     assert "prr_generated=" in printed
     assert out.read_text().startswith("scenario,seed,")
     assert trace.read_text().startswith("device\tsf\t")
+
+
+def test_only_traced_runs_keep_the_transmission_log(tmp_path, monkeypatch):
+    results = []
+
+    def recording_run_scenario(*args, **kwargs):
+        results.append(run_scenario(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run_scenario", recording_run_scenario)
+    monkeypatch.setattr(sweep, "run_scenario", recording_run_scenario)
+    config = tmp_path / "scenario.cfg"
+    config.write_text("n_devices = 2\nperiod_set_s = {100}\nsim_time_s = 400\n")
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("seeds = {1}\n")
+    trace = tmp_path / "trace.tsv"
+    assert cli.main(["run", "--config", str(config)]) == 0
+    sweep_out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--config", str(config), "--grid", str(grid), "--out", str(sweep_out)]) == 0
+    assert cli.main(["validate-aloha", "--g", "0.5", "--packet-times", "100", "--devices", "2"]) == 0
+    assert [r.records for r in results] == [None, None, None]
+    assert cli.main(["run", "--config", str(config), "--trace", str(trace)]) == 0
+    assert results[-1].records
 
 
 def test_cli_mode_override(tmp_path, capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lorapcsma import phy
+from lorapcsma import phy, topology
 from lorapcsma.config import ConfigError
 from lorapcsma.kernel import RngStreams
 from lorapcsma.topology import (
@@ -78,6 +78,32 @@ def test_vicinity_is_a_pure_function_of_inputs():
     first = build_vicinity(devices, LOSS, TABLE)
     second = build_vicinity(devices, LOSS, TABLE)
     assert np.array_equal(first, second)
+
+
+def _full_distance_matrix(xyz):
+    # The unblocked formula, N x N x 3 temporary and all: the oracle.
+    diff = xyz[:, None, :] - xyz[None, :, :]
+    return np.sqrt((diff**2).sum(axis=2))
+
+
+@pytest.mark.parametrize("block_cells", [topology.VICINITY_BLOCK_CELLS, 1000, 1])
+def test_row_blocks_match_the_full_distance_matrix(monkeypatch, block_cells):
+    # Each device's detect range is set to its exact oracle distance from
+    # another device, so a last-bit difference in a distance flips an entry.
+    monkeypatch.setattr(topology, "VICINITY_BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(2024)
+    for _ in range(20):
+        n = int(rng.integers(1, 401))
+        xyz = rng.uniform(-6000.0, 6000.0, size=(n, 3))
+        dist = _full_distance_matrix(xyz)
+        ranges = dist[rng.integers(0, n, size=n), np.arange(n)]
+        devices = [
+            topology.DeviceSpec(i, *map(float, xyz[i]), 8, float(i), 100.0, 1.0) for i in range(n)
+        ]
+        monkeypatch.setattr(phy, "detect_range_m", lambda sf, role, tx, loss, table: ranges[int(tx)])
+        expected = dist <= ranges[None, :]
+        np.fill_diagonal(expected, False)
+        assert np.array_equal(build_vicinity(devices, LOSS, TABLE), expected)
 
 
 def test_single_cluster_uniform_sf_matrix_symmetric():

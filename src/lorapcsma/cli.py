@@ -100,6 +100,8 @@ def _cmd_validate_aloha(args) -> int:
         raise ConfigError(f"--g expects comma-separated numbers, got {args.g!r}") from None
     if not g_values:
         raise ConfigError("--g needs at least one offered-load value")
+    if not phy.SF_MIN <= args.sf <= phy.SF_MAX:
+        raise ConfigError(f"--sf must be in {phy.SF_MIN}..{phy.SF_MAX}, got {args.sf}")
     toa_s = phy.time_on_air(args.sf, phy.RadioParams())
     cfg = RunConfig(
         n_devices=args.devices,

@@ -55,9 +55,6 @@ class ChannelStateArray:
         del self.on_air[device]
         self.free_count += 1
 
-    def is_busy(self, device: int) -> bool:
-        return device in self.on_air
-
     def all_idle(self) -> bool:
         return not self.on_air
 
@@ -84,9 +81,9 @@ class PcsmaMac:
         toa_us: list[int],
         sense_us: list[int],
         period_us: list[int],
-        periodic: bool = True,
-        aloha: bool = False,
-        duty_cycle_enforce: bool = False,
+        periodic: bool,
+        aloha: bool,
+        duty_cycle_enforce: bool,
     ) -> None:
         n = len(vicinity)
         for device, p in enumerate(persistence):

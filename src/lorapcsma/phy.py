@@ -133,11 +133,6 @@ def received_power_dbm(tx_power_dbm: float, distance_m: float, loss: LossParams)
     return tx_power_dbm - path_loss_db(distance_m, loss)
 
 
-def above_sensitivity(prx_dbm: float, sf: int, role: str, table: SensitivityTable) -> bool:
-    """True iff the received power meets the threshold (inclusive)."""
-    return prx_dbm >= table.threshold_dbm(sf, role)
-
-
 def detect_range_m(
     sf: int,
     role: str,

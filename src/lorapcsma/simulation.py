@@ -35,7 +35,6 @@ class RunResult:
     counters: Counters
     records: list[TxRecord] | None  # None unless the run kept its log
     audit: RunAudit
-    vicinity: np.ndarray
 
 
 def build_topology(cfg: RunConfig, streams: RngStreams) -> topology.Topology:
@@ -98,7 +97,6 @@ class Simulation:
     ) -> None:
         self.cfg = cfg
         self.devices = devices
-        self.vicinity = vicinity
         self.offsets_s = offsets_s
         self.streams = RngStreams(cfg.seed)
         self.sched = Scheduler()
@@ -117,16 +115,25 @@ class Simulation:
         else:
             sense_us = dict.fromkeys(sfs, us_from_s(cfg.sensing_interval_s))
 
-        rows = np.array(vicinity, dtype=bool)  # to 0/1 bytes per sensor, own entry 0
-        np.fill_diagonal(rows, False)
+        # One 0/1 byte row per sensor, own entry 0.  A bool matrix is read in
+        # place; only rows with a set diagonal entry are rebuilt.
+        matrix = np.asarray(vicinity, dtype=bool)
+        rows = [row.tobytes() for row in matrix]
+        for i in np.flatnonzero(matrix.diagonal()):
+            row = bytearray(rows[i])
+            row[i] = 0
+            rows[i] = bytes(row)
         self.channel = ChannelStateArray(len(devices))
-        self.gateway = GatewayPhy(cfg.gateway_paths, table, self.counters, self.channel.free)
+        # A device has at most one packet on air, so paths beyond the device
+        # count are never bound.
+        n_paths = min(cfg.gateway_paths, len(devices))
+        self.gateway = GatewayPhy(n_paths, table, self.counters, self.channel.free)
         self.mac = PcsmaMac(
             self.sched,
             self.channel,
             self.gateway,
             [d.persistence for d in devices],
-            [row.tobytes() for row in rows],
+            rows,
             self.counters,
             self.records,
             self.streams.stream(STREAM_PERSISTENCE),
@@ -197,12 +204,7 @@ class Simulation:
             channel_clear=self.channel.all_idle(),
             events_executed=self.sched.executed,
         )
-        return RunResult(
-            counters=self.counters,
-            records=self.records,
-            audit=audit,
-            vicinity=self.vicinity,
-        )
+        return RunResult(counters=self.counters, records=self.records, audit=audit)
 
 
 def run_scenario(

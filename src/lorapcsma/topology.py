@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -128,14 +128,6 @@ def place_clusters(
             theta = 2.0 * math.pi * rng.uniform()
             positions.append((cx + r * math.cos(theta), cy + r * math.sin(theta), 0.0))
     return positions
-
-
-def device_areas(n_devices: int, n_areas: int) -> list[int]:
-    """Cluster index per device, matching the place_clusters block order."""
-    areas = []
-    for k, size in enumerate(cluster_sizes(n_devices, n_areas)):
-        areas.extend([k] * size)
-    return areas
 
 
 def assign_attributes(
@@ -277,4 +269,4 @@ def load_device_file(
 class Topology:
     devices: list[DeviceSpec]
     vicinity: np.ndarray
-    prx_dbm: list[float] = field(default_factory=list)
+    prx_dbm: list[float]

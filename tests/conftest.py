@@ -16,13 +16,28 @@ def devices_at(positions, sf=8, period_s=100.0, p=1.0, tx_power_dbm=14.0):
     )
 
 
+def vicinity_of(devices, cfg: RunConfig):
+    """The vicinity matrix of explicit devices under ``cfg``'s PHY."""
+    return topology.build_vicinity(devices, cfg.loss_params(), cfg.sensitivity_table())
+
+
 def make_sim(devices, cfg: RunConfig | None = None, *, offsets_s=None, seed=1):
     """Simulation over explicit devices; vicinity derived from the PHY defaults."""
     cfg = replace(cfg or RunConfig(n_devices=len(devices)), seed=seed)
-    loss = cfg.loss_params()
-    table = cfg.sensitivity_table()
-    vicinity = topology.build_vicinity(devices, loss, table)
-    return Simulation(cfg, devices, vicinity, offsets_s=offsets_s)
+    return Simulation(cfg, devices, vicinity_of(devices, cfg), offsets_s=offsets_s)
+
+
+def above_sensitivity(prx_dbm, sf, role, table):
+    """Oracle: the received power meets the role's threshold (inclusive)."""
+    return prx_dbm >= table.threshold_dbm(sf, role)
+
+
+def device_areas(n_devices, n_areas):
+    """Cluster index per device, matching the place_clusters block order."""
+    areas = []
+    for k, size in enumerate(topology.cluster_sizes(n_devices, n_areas)):
+        areas.extend([k] * size)
+    return areas
 
 
 def hidden_star_positions(ring_radius_m=4877.0, n_ring=8):

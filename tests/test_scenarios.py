@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from lorapcsma.config import ConfigError, RunConfig, SweepGrid
 from lorapcsma.gateway import Outcome
 from lorapcsma.kernel import RngStreams
 from lorapcsma.metrics import compute_prr, write_csv, write_trace
-from lorapcsma.simulation import build_topology, run_scenario
+from lorapcsma.simulation import Simulation, build_topology, run_scenario
 from lorapcsma.sweep import aloha_validation, result_row, run_sweep
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -57,7 +58,7 @@ def test_synchronized_visible_pair_never_collides():
 def test_no_mutually_visible_overlap_and_hidden_collisions_only():
     cfg = RunConfig(n_devices=60, n_areas=3, sf_set=(8, 9, 10), p=0.5, seed=21)
     result = run_scenario(cfg)
-    vic = result.vicinity
+    vic = build_topology(cfg, RngStreams(cfg.seed)).vicinity
     records = result.records
     for a, b in overlapping_pairs(records):
         i, j = records[a].device, records[b].device
@@ -208,6 +209,33 @@ def test_unlogged_run_memory_does_not_grow_with_time():
     _traced_peak_bytes(2_000)  # first-call allocations stay out of the comparison
     growth = _traced_peak_bytes(20_000) - _traced_peak_bytes(2_000)
     assert growth < 256 * 1024
+
+
+def _init_peak_bytes(cfg: RunConfig) -> int:
+    """Peak traced allocation while ``Simulation`` is built over ``cfg``'s topology."""
+    topo = build_topology(cfg, RngStreams(cfg.seed))
+    tracemalloc.start()
+    try:
+        Simulation(cfg, topo.devices, topo.vicinity, prx_dbm=topo.prx_dbm, keep_records=False)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulation_init_makes_no_second_vicinity_copy():
+    # The per-sensor byte rows take N^2 bytes; a copy of the caller's bool
+    # matrix next to them would take another N^2.
+    n = 1500
+    assert _init_peak_bytes(RunConfig(n_devices=n, n_areas=3, p=0.25, seed=1)) < 1.5 * n * n
+
+
+def test_gateway_paths_beyond_the_device_count_cost_nothing():
+    cfg = RunConfig(n_devices=5, gateway_paths=10**6, sim_time_s=600.0, seed=1)
+    assert _init_peak_bytes(cfg) < 1 << 20
+    few = run_scenario(replace(cfg, gateway_paths=5))
+    many = run_scenario(cfg)
+    assert many.counters == few.counters
+    assert many.audit == few.audit
 
 
 def test_aloha_validation_requires_aloha_poisson():
@@ -379,3 +407,9 @@ def test_cli_validate_aloha(tmp_path, capsys):
     text = out.read_text()
     assert text.splitlines()[0] == "g,throughput,theoretical"
     assert "0.100000" in text
+
+
+def test_cli_validate_aloha_out_of_range_sf_is_a_config_error(capsys):
+    assert cli.main(["validate-aloha", "--g", "0.5", "--sf", "13"]) == 2
+    err = capsys.readouterr().err
+    assert "--sf" in err and "13" in err and "Traceback" not in err

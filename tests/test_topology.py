@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import device_areas
 from lorapcsma import phy, topology
 from lorapcsma.config import ConfigError
 from lorapcsma.kernel import RngStreams
@@ -12,7 +13,6 @@ from lorapcsma.topology import (
     assign_attributes,
     build_vicinity,
     cluster_sizes,
-    device_areas,
     load_device_file,
     place_clusters,
     validate_geometry,

@@ -88,7 +88,7 @@ def _cmd_sweep(args) -> int:
     grid = load_grid(args.grid)
     rows = run_sweep(cfg, grid)
     write_csv(rows, args.out)
-    n_runs = sum(1 for row in rows if str(row["seed"]).lstrip("-").isdigit())
+    n_runs = sum(1 for row in rows if isinstance(row["seed"], int))
     print(f"{n_runs} runs -> {args.out}")
     return 0
 

@@ -137,6 +137,8 @@ class RunConfig:
             raise ConfigError("n_areas must be >= 1")
         if self.gateway_paths < 1:
             raise ConfigError("gateway_paths must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.sensing_interval_s is not None and us_from_s(self.sensing_interval_s) < 1:
             raise ConfigError("sensing_interval_s must be at least 1 us (or auto)")
         if self.shadowing_sigma_db < 0:
@@ -330,8 +332,11 @@ _GRID_KEYS = {
 
 def parse_grid(text: str) -> SweepGrid:
     grid = _assign(text, SweepGrid(), _GRID_KEYS, "grid key")
-    if not grid.seeds:
-        raise ConfigError("seeds must be non-empty")
+    for key in _GRID_KEYS:
+        if getattr(grid, key) == ():
+            raise ConfigError(f"{key} must be non-empty")
+    if any(seed < 0 for seed in grid.seeds):
+        raise ConfigError(f"seeds must be >= 0, got {grid.seeds}")
     return grid
 
 

@@ -1,10 +1,9 @@
-"""Gateway receive model: demodulation paths and the four packet outcomes."""
+"""Gateway receive model: who is on air, demodulation paths, the four outcomes."""
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
 
 from .metrics import Counters
 from .phy import SF_MAX, SF_MIN, SensitivityTable
@@ -19,7 +18,12 @@ class Outcome(enum.Enum):
 
 @dataclass(slots=True)
 class TxRecord:
-    """One transmission as seen at the gateway; outcome assigned at air-end."""
+    """One transmission as seen at the gateway.
+
+    ``outcome`` is set at air-start and final at air-end: a path-bound packet
+    reads RECEIVED until a same-SF overlap marks it COLLIDED.  A packet cut
+    off on air by the end of the run is left at None.
+    """
 
     device: int
     sf: int
@@ -27,14 +31,15 @@ class TxRecord:
     air_end_us: int
     prx_dbm: float
     outcome: Outcome | None = None
-    provisional: Outcome | None = None
-    path: int | None = None
-    tainted: bool = False
-    registered: bool = False
 
 
 class GatewayPhy:
-    """Allocates demodulation paths, classifies packets, frees the channel.
+    """Holds the packets on air, assigns demodulation paths, classifies packets.
+
+    ``on_air`` maps each device on air to its packet, from air-start to
+    air-end (or the end of the run); it is the one record of who is on air,
+    and the MAC senses over it.  ``bound`` is its subset that holds a
+    demodulation path, also keyed by device.
 
     Model conventions:
     - below-sensitivity and path-rejected packets are drop categories, not
@@ -42,69 +47,52 @@ class GatewayPhy:
     - any same-SF temporal overlap between two path-bound packets destroys
       both (no capture effect); different SFs are orthogonal;
     - a path is held from air-start to air-end regardless of outcome;
-    - simultaneous arrivals bind paths in event (FIFO) order, lowest free
-      path index first.
+    - simultaneous arrivals bind paths in event (FIFO) order.
     """
 
-    def __init__(
-        self,
-        n_paths: int,
-        table: SensitivityTable,
-        counters: Counters,
-        free_channel: Callable[[int], None],
-    ) -> None:
+    def __init__(self, n_paths: int, table: SensitivityTable, counters: Counters) -> None:
         if n_paths < 1:
             raise ValueError("the gateway needs at least one demodulation path")
-        self.paths: list[TxRecord | None] = [None] * n_paths
+        self.n_paths = n_paths
+        self.on_air: dict[int, TxRecord] = {}
+        self.bound: dict[int, TxRecord] = {}
         self.threshold_dbm = dict(zip(range(SF_MIN, SF_MAX + 1), table.gateway))
         self.counters = counters
-        self.free_channel = free_channel
         self.max_paths_bound = 0
-        self.binds = 0
-        self.releases = 0
+        self.starts = 0
+        self.ends = 0
 
     def on_tx_start(self, rec: TxRecord) -> None:
-        """Register a transmission at its air-start.
+        """Put a transmission on air at its air-start and bind a path if one is free.
 
-        Tainting requires strictly positive overlap: a packet starting the
+        Collision requires strictly positive overlap: a packet starting the
         same microsecond another ends does not collide with it.
         """
-        rec.registered = True
+        device = rec.device
+        if device in self.on_air:
+            raise RuntimeError(f"device {device} started a packet while already on air")
+        self.on_air[device] = rec
+        self.starts += 1
         if rec.prx_dbm < self.threshold_dbm[rec.sf]:
-            rec.provisional = Outcome.UNDER_SENSITIVITY
+            rec.outcome = Outcome.UNDER_SENSITIVITY
             return
-        paths = self.paths
-        bound = self.binds - self.releases
-        if bound == len(paths):
-            rec.provisional = Outcome.NO_DEMOD_PATH
+        bound = self.bound
+        if len(bound) == self.n_paths:
+            rec.outcome = Outcome.NO_DEMOD_PATH
             return
+        rec.outcome = Outcome.RECEIVED
         sf, start = rec.sf, rec.air_start_us
-        for other in paths:
-            if other is not None and other.sf == sf and other.air_end_us > start:
-                other.tainted = True
-                rec.tainted = True
-        free = paths.index(None)
-        paths[free] = rec
-        rec.path = free
-        self.binds += 1
-        if bound >= self.max_paths_bound:
-            self.max_paths_bound = bound + 1
+        for other in bound.values():
+            if other.sf == sf and other.air_end_us > start:
+                other.outcome = rec.outcome = Outcome.COLLIDED
+        bound[device] = rec
+        if len(bound) > self.max_paths_bound:
+            self.max_paths_bound = len(bound)
 
     def on_tx_end(self, rec: TxRecord) -> Outcome:
-        """Assign the final outcome and take the sender off air.
-
-        All four cases free the channel.
-        """
-        if not rec.registered:
-            raise RuntimeError(f"air-end for unknown packet from device {rec.device}")
-        if rec.provisional is not None:
-            outcome = rec.provisional
-        elif rec.tainted:
-            outcome = Outcome.COLLIDED
-        else:
-            outcome = Outcome.RECEIVED
-        self._release(rec)
-        rec.outcome = outcome
+        """Take the sender off air, release its path and count its outcome."""
+        self._take_off_air(rec)
+        outcome = rec.outcome
         c = self.counters
         c.sent += 1
         if outcome is Outcome.RECEIVED:
@@ -115,17 +103,16 @@ class GatewayPhy:
             c.under_sensitivity += 1
         else:
             c.no_path += 1
-        self.free_channel(rec.device)
         return outcome
 
     def abort(self, rec: TxRecord) -> None:
-        """Cut a packet off at the end of the run: release its path and free
-        the channel without assigning an outcome."""
-        self._release(rec)
-        self.free_channel(rec.device)
+        """Cut a packet off at the end of the run: take it off air and release
+        its path without an outcome."""
+        self._take_off_air(rec)
+        rec.outcome = None
 
-    def _release(self, rec: TxRecord) -> None:
-        if rec.path is not None:
-            self.paths[rec.path] = None
-            rec.path = None
-            self.releases += 1
+    def _take_off_air(self, rec: TxRecord) -> None:
+        if self.on_air.pop(rec.device, None) is not rec:
+            raise RuntimeError(f"air-end for unknown packet from device {rec.device}")
+        self.bound.pop(rec.device, None)
+        self.ends += 1

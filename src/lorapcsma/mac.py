@@ -2,10 +2,10 @@
 
 One :class:`PcsmaMac` instance owns the back-off state of every device in a
 run, in array form, next to the per-device persistence values.  Whether a
-device is on air is membership of the channel state's on-air map, and
-nothing else: the MAC books it with its packet at air-start and the gateway
-model frees it at air-end.  Both the p-CSMA behaviour and the pure-ALOHA
-baseline live here.
+device is on air is membership of the gateway's ``on_air`` map, and nothing
+else: the MAC reads that map, the gateway model puts each packet in it at
+air-start and takes it out at air-end.  Both the p-CSMA behaviour and the
+pure-ALOHA baseline live here.
 
 Timing of the periodic traffic: a new generation is scheduled one period
 after a transmission starts (a backed-off packet therefore shifts the
@@ -16,47 +16,12 @@ is pending or on air are counted as suppressed, never queued.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from .gateway import TxRecord
+from .gateway import GatewayPhy, TxRecord
 from .kernel import Scheduler, RngStream, US_PER_S
-
-if TYPE_CHECKING:
-    from .gateway import GatewayPhy
-    from .metrics import Counters
+from .metrics import Counters
 
 DUTY_CYCLE_LIMIT = 0.01
 DUTY_WINDOW_US = 3600 * US_PER_S
-
-
-class ChannelStateArray:
-    """The devices on air, each mapped to the packet it is sending.
-
-    Transitions follow idle -> occupied -> idle only; violating that is a
-    logic bug and raises immediately.
-    """
-
-    def __init__(self, n_devices: int) -> None:
-        if n_devices < 1:
-            raise ValueError("need at least one device")
-        self.on_air: dict[int, TxRecord] = {}
-        self.book_count = 0
-        self.free_count = 0
-
-    def book(self, device: int, rec: TxRecord) -> None:
-        if device in self.on_air:
-            raise RuntimeError(f"device {device} booked while already transmitting")
-        self.on_air[device] = rec
-        self.book_count += 1
-
-    def free(self, device: int) -> None:
-        if device not in self.on_air:
-            raise RuntimeError(f"device {device} freed while already idle")
-        del self.on_air[device]
-        self.free_count += 1
-
-    def all_idle(self) -> bool:
-        return not self.on_air
 
 
 def shall_it_pass(p: float, rng: RngStream) -> bool:
@@ -68,11 +33,10 @@ class PcsmaMac:
     def __init__(
         self,
         sched: Scheduler,
-        channel: ChannelStateArray,
-        gateway: "GatewayPhy",
+        gateway: GatewayPhy,
         persistence: list[float],
         vicinity: list[bytes],
-        counters: "Counters",
+        counters: Counters,
         records: list[TxRecord] | None,
         persistence_rng: RngStream,
         *,
@@ -90,8 +54,8 @@ class PcsmaMac:
             if not 0.0 < p <= 1.0:
                 raise ValueError(f"persistence for device {device} must be in (0, 1], got {p}")
         self.sched = sched
-        self.channel = channel
         self.gateway = gateway
+        self.on_air = gateway.on_air  # the gateway's map itself, not a copy
         self.persistence = [float(p) for p in persistence]
         self.vicinity = vicinity
         self.counters = counters
@@ -118,7 +82,7 @@ class PcsmaMac:
         entry is 0; the transmitters' SFs are not consulted (energy-style).
         """
         row = self.vicinity[device]
-        for j in self.channel.on_air:
+        for j in self.on_air:
             if row[j]:
                 return True
         return False
@@ -133,7 +97,7 @@ class PcsmaMac:
         starts a back-off, and persistence gates only the reclaim attempts.
         """
         self.counters.generated += 1
-        if device in self.channel.on_air or self.backoff[device]:
+        if device in self.on_air or self.backoff[device]:
             # One pending packet per device: drop the new one, keep the clock.
             self.counters.suppressed += 1
             self._schedule_next_generation(device)
@@ -170,7 +134,6 @@ class PcsmaMac:
             return
         toa = self.toa_us[device]
         rec = TxRecord(device, self.sf[device], now, now + toa, self.prx_dbm[device])
-        self.channel.book(device, rec)
         if self.records is not None:
             self.records.append(rec)
         gateway = self.gateway

@@ -72,9 +72,9 @@ def _fmt(value) -> str:
 
 
 def _row_sort_key(row: dict):
-    seed = str(row["seed"])
-    if seed.lstrip("-").isdigit():
-        return (str(row["scenario"]), 0, int(seed), "")
+    seed = row["seed"]
+    if isinstance(seed, int):
+        return (str(row["scenario"]), 0, seed, "")
     return (str(row["scenario"]), 1, 0, seed)  # summary rows after the runs
 
 

@@ -10,7 +10,7 @@ from . import phy, topology
 from .config import ConfigError, RunConfig
 from .gateway import GatewayPhy, TxRecord
 from .kernel import RngStreams, Scheduler, us_from_s
-from .mac import ChannelStateArray, PcsmaMac
+from .mac import PcsmaMac
 from .metrics import Counters
 
 # One named stream per concern so changing one consumer leaves the others'
@@ -95,6 +95,8 @@ class Simulation:
         offsets_s: list[float] | None = None,
         keep_records: bool = True,
     ) -> None:
+        if not devices:
+            raise ValueError("need at least one device")
         self.cfg = cfg
         self.devices = devices
         self.offsets_s = offsets_s
@@ -123,14 +125,9 @@ class Simulation:
             row = bytearray(rows[i])
             row[i] = 0
             rows[i] = bytes(row)
-        self.channel = ChannelStateArray(len(devices))
-        # A device has at most one packet on air, so paths beyond the device
-        # count are never bound.
-        n_paths = min(cfg.gateway_paths, len(devices))
-        self.gateway = GatewayPhy(n_paths, table, self.counters, self.channel.free)
+        self.gateway = GatewayPhy(cfg.gateway_paths, table, self.counters)
         self.mac = PcsmaMac(
             self.sched,
-            self.channel,
             self.gateway,
             [d.persistence for d in devices],
             rows,
@@ -191,17 +188,17 @@ class Simulation:
         # back-off or still on air.  On-air ones (air-end not yet fired)
         # release their path and leave the on-air map so conservation holds
         # for every run.
-        on_air = self.channel.on_air
-        self.counters.pending_at_end = sum(self.mac.backoff) + len(on_air)
-        for rec in list(on_air.values()):
-            self.gateway.abort(rec)
+        gateway = self.gateway
+        self.counters.pending_at_end = sum(self.mac.backoff) + len(gateway.on_air)
+        for rec in list(gateway.on_air.values()):
+            gateway.abort(rec)
 
         self.counters.check()
         audit = RunAudit(
-            book_count=self.channel.book_count,
-            free_count=self.channel.free_count,
-            max_paths_bound=self.gateway.max_paths_bound,
-            channel_clear=self.channel.all_idle(),
+            book_count=gateway.starts,
+            free_count=gateway.ends,
+            max_paths_bound=gateway.max_paths_bound,
+            channel_clear=not gateway.on_air,
             events_executed=self.sched.executed,
         )
         return RunResult(counters=self.counters, records=self.records, audit=audit)

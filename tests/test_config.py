@@ -80,6 +80,7 @@ def test_duplicate_key_rejected():
         ("n_devices = 10\ntx_power_dbm = nan\n", "tx_power_dbm"),
         ("n_devices = 10\ncluster_radius_m = nan\n", "cluster_radius_m"),
         ("n_devices = 10\nshadowing_sigma_db = nan\n", "shadowing_sigma_db"),
+        ("n_devices = 10\nseed = -3\n", "seed must be >= 0"),
     ],
 )
 def test_invalid_values_are_named_errors(doc, match):
@@ -123,6 +124,22 @@ def test_grid_parsing_with_ranges_and_sf_sets():
 def test_grid_rejects_unknown_key():
     with pytest.raises(ConfigError, match="unknown grid key"):
         parse_grid("devices = {10}\n")
+
+
+@pytest.mark.parametrize(
+    "doc,match",
+    [
+        # An empty list would otherwise fall back to the base config unnoticed.
+        *[
+            (f"{key} = {{}}\n", f"{key} must be non-empty")
+            for key in ("device_counts", "p_values", "sf_sets", "n_areas_values", "seeds")
+        ],
+        ("seeds = {1, -2}\n", "seeds must be >= 0"),
+    ],
+)
+def test_grid_invalid_dimension_is_a_named_error(doc, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_grid(doc)
 
 
 def test_malformed_line_reports_position():

@@ -6,7 +6,10 @@ change that alters them changes behaviour, not just code.
 
 import hashlib
 import io
+from collections import Counter
 from pathlib import Path
+
+import pytest
 
 from lorapcsma import phy
 from lorapcsma.config import RunConfig, SweepGrid, load_config
@@ -20,6 +23,10 @@ SWEEP_CSV_SHA256 = "9aa4f336b99c2fc44e6e747fafc61756b04abe1e486401374df020537ae2
 MIXED_SF_TRACE_SHA256 = "dc387ea5632a30a6e3324e387108ee4a905ac24a5e93daa948f9c39026a57c07"
 DENSE_PCSMA_TRACE_SHA256 = "6310221eb0938265e985564131a71148ff47aa6d8b7ce1a6fa1f425702d70da9"
 ALOHA_CSV_SHA256 = "68332511ef10cb9cbeebd73b0211620a1fc22527534e7e8ed0beaf5e4c04528e"
+ALL_OUTCOMES_TRACE_SHA256 = {
+    "pcsma": "fcaf16f9bdd8df434bf9fae343c8f226a0c61187173fd9130e65b64d382b3fe8",
+    "aloha": "f048e5460367662c40a561e4a68c936eb8384b693934096106057a2be13a1c20",
+}
 
 
 def _sha256(write, data) -> str:
@@ -51,6 +58,37 @@ def test_dense_pcsma_trace_matches_golden_digest():
     result = run_scenario(cfg)
     assert result.audit.events_executed - 2 * result.counters.sent > 500  # back-off polls
     assert _sha256(write_trace, result.records) == DENSE_PCSMA_TRACE_SHA256
+
+
+@pytest.mark.parametrize("mac", ["pcsma", "aloha"])
+def test_all_five_outcomes_trace_matches_golden_digest(mac):
+    # Two paths, shadowing and zero offsets: every trace outcome occurs,
+    # including packets cut off on air at the end ("pending").
+    cfg = RunConfig(
+        n_devices=40,
+        n_areas=3,
+        mac=mac,
+        sf_set=(8, 9),
+        p=0.5,
+        gateway_paths=2,
+        offsets="zero",
+        period_set_s=(10.0, 15.0),
+        sim_time_s=120.05,
+        shadowing_sigma_db=8.0,
+        seed=4,
+    )
+    records = run_scenario(cfg).records
+    outcomes = Counter(r.outcome.value if r.outcome is not None else "pending" for r in records)
+    assert set(outcomes) == {"received", "collided", "under_sensitivity", "no_path", "pending"}
+    if mac == "pcsma":
+        assert outcomes == {
+            "received": 168,
+            "collided": 78,
+            "under_sensitivity": 132,
+            "no_path": 22,
+            "pending": 3,
+        }
+    assert _sha256(write_trace, records) == ALL_OUTCOMES_TRACE_SHA256[mac]
 
 
 def test_aloha_validation_csv_matches_golden_digest():

@@ -6,7 +6,7 @@ from conftest import devices_at, hidden_star_positions, make_sim
 from lorapcsma.config import RunConfig
 from lorapcsma.gateway import TxRecord
 from lorapcsma.kernel import RngStreams
-from lorapcsma.mac import ChannelStateArray, shall_it_pass
+from lorapcsma.mac import shall_it_pass
 
 SF8_TOA_US = 102_912
 SENSE_US = SF8_TOA_US // 2
@@ -24,50 +24,20 @@ def packet(device):
     return TxRecord(device, 8, 0, SF8_TOA_US, -100.0)
 
 
-def test_create_channel_state_all_idle():
-    assert ChannelStateArray(1).all_idle()
-    state = ChannelStateArray(100)
-    assert state.all_idle()
-    assert not any(d in state.on_air for d in range(100))
-
-
-def test_book_free_transitions_and_errors():
-    state = ChannelStateArray(5)
-    state.book(3, packet(3))
-    assert [d in state.on_air for d in range(5)] == [False, False, False, True, False]
-    assert not state.all_idle()
-    with pytest.raises(RuntimeError):
-        state.book(3, packet(3))
-    state.free(3)
-    assert not any(d in state.on_air for d in range(5))
-    assert state.all_idle()
-    with pytest.raises(RuntimeError):
-        state.free(3)
-    assert state.book_count == 1 and state.free_count == 1
-
-
-def test_on_air_maps_each_device_to_its_packet():
-    state = ChannelStateArray(5)
-    first, second = packet(3), packet(1)
-    state.book(3, first)
-    state.book(1, second)
-    assert state.on_air == {3: first, 1: second}
-    state.free(3)
-    assert state.on_air == {1: second}
-
-
 def test_sense_over_vicinity_set():
     # 0 and 1 are mutually audible; 2 is hidden from both (SF8 range ~3509 m).
     devices = devices_at([(0.0, 0.0), (1.0, 0.0), (5000.0, 0.0)])
     sim = make_sim(devices)
-    mac, channel = sim.mac, sim.channel
+    mac, gateway = sim.mac, sim.gateway
+    assert mac.on_air is gateway.on_air  # the MAC reads the gateway's map
     assert not mac.sense(0)  # nobody on air
-    channel.book(2, packet(2))
+    gateway.on_tx_start(packet(2))
     assert not mac.sense(0)  # only a hidden device transmitting
-    channel.book(1, packet(1))
+    audible = packet(1)
+    gateway.on_tx_start(audible)
     assert mac.sense(0)
-    channel.free(1)
-    channel.book(0, packet(0))
+    gateway.on_tx_end(audible)
+    gateway.on_tx_start(packet(0))
     assert not mac.sense(0)  # own transmission ignored
 
 
@@ -75,7 +45,7 @@ def test_sense_ignores_transmitter_sf():
     devices = devices_at([(0.0, 0.0), (1.0, 0.0)])
     devices[1].sf = 10
     sim = make_sim(devices)
-    sim.channel.book(1, packet(1))
+    sim.gateway.on_tx_start(packet(1))
     assert sim.mac.sense(0)
 
 
@@ -126,9 +96,11 @@ def test_retry_transmits_at_fourth_sense_when_busy_three_intervals():
     devices = devices_at([(0.0, 0.0), (1.0, 0.0)], period_s=10_000.0)
     cfg = RunConfig(n_devices=2, sim_time_s=100.0, seed=1)
     sim = make_sim(devices, cfg, offsets_s=[0.0, 9_999.0])
-    # Device 1 occupies the channel over the first three senses of device 0.
-    sim.sched.schedule(0, sim.channel.book, 1, packet(1))
-    sim.sched.schedule(round(2.5 * SENSE_US), sim.channel.free, 1)
+    # Device 1 occupies the channel over the first three senses of device 0;
+    # abort takes it off air without counting an outcome for it.
+    busy = packet(1)
+    sim.sched.schedule(0, sim.gateway.on_tx_start, busy)
+    sim.sched.schedule(round(2.5 * SENSE_US), sim.gateway.abort, busy)
     result = sim.run()
     assert len(result.records) == 1
     assert result.records[0].air_start_us == 3 * SENSE_US
@@ -139,8 +111,9 @@ def test_failed_persistence_draw_waits_one_sensing_interval():
     devices = devices_at([(0.0, 0.0), (1.0, 0.0)], period_s=10_000.0, p=0.25)
     cfg = RunConfig(n_devices=2, sim_time_s=100.0, p=0.25, seed=1)
     sim = make_sim(devices, cfg, offsets_s=[0.0, 9_999.0])
-    sim.sched.schedule(0, sim.channel.book, 1, packet(1))
-    sim.sched.schedule(SENSE_US // 2, sim.channel.free, 1)
+    busy = packet(1)
+    sim.sched.schedule(0, sim.gateway.on_tx_start, busy)
+    sim.sched.schedule(SENSE_US // 2, sim.gateway.abort, busy)
     sim.mac.rng = FakeRng([0.9, 0.1])  # fail against p=0.25, then pass
     result = sim.run()
     assert result.records[0].air_start_us == 2 * SENSE_US

@@ -98,12 +98,13 @@ def test_sense_matches_the_vicinity_matrix_oracle(case):
     ]
     for step in [None, *toggles]:
         for sim in sims:
+            gateway = sim.gateway
             if step is not None:
-                if step in sim.channel.on_air:
-                    sim.channel.free(step)
+                if step in gateway.on_air:
+                    gateway.on_tx_end(gateway.on_air[step])
                 else:
-                    sim.channel.book(step, TxRecord(step, 8, 0, 1, 0.0))
-            busy = [j in sim.channel.on_air for j in range(n)]
+                    gateway.on_tx_start(TxRecord(step, 8, 0, 1, 0.0))
+            busy = [j in gateway.on_air for j in range(n)]
             for d in range(n):
                 oracle = any(vicinity[d, j] and busy[j] for j in range(n) if j != d)
                 assert sim.mac.sense(d) == oracle

@@ -413,3 +413,37 @@ def test_cli_validate_aloha_out_of_range_sf_is_a_config_error(capsys):
     assert cli.main(["validate-aloha", "--g", "0.5", "--sf", "13"]) == 2
     err = capsys.readouterr().err
     assert "--sf" in err and "13" in err and "Traceback" not in err
+
+
+def test_cli_negative_seed_is_a_config_error_before_any_run(tmp_path, monkeypatch, capsys):
+    runs = []
+
+    def recording_run_scenario(*args, **kwargs):
+        runs.append(run_scenario(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "run_scenario", recording_run_scenario)
+    monkeypatch.setattr(sweep, "run_scenario", recording_run_scenario)
+    config = tmp_path / "scenario.cfg"
+    config.write_text("n_devices = 2\nsim_time_s = 50\nperiod_set_s = {10}\n")
+    bad_config = tmp_path / "bad.cfg"
+    bad_config.write_text("n_devices = 2\nseed = -3\n")
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("seeds = {1, -2}\n")
+    out = tmp_path / "sweep.csv"
+    cases = [
+        (["run", "--config", str(bad_config)], "seed"),
+        (["run", "--config", str(config), "--seed", "-1"], "seed"),
+        (["validate-aloha", "--g", "0.5", "--packet-times", "100", "--seed", "-1"], "seed"),
+        (["sweep", "--config", str(config), "--grid", str(grid), "--out", str(out)], "seeds"),
+    ]
+    for argv, key in cases:
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert f"{key} must be >= 0" in err and "Traceback" not in err
+    assert runs == [] and not out.exists()
+
+
+def test_simulation_needs_at_least_one_device():
+    with pytest.raises(ValueError, match="at least one device"):
+        Simulation(RunConfig(n_devices=1), [], [])

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import phy
 from .kernel import us_from_s
-from .topology import ClusterGeometry, ConfigError
+from .topology import ClusterGeometry, ConfigError, validate_geometry
 
 # The allowed values of every enumerated key, for the parser and validate().
 _CHOICES = {
@@ -154,13 +154,17 @@ class RunConfig:
                 raise ConfigError("poisson traffic needs a single-SF sf_set (one packet-time)")
             self.poisson_mean_gap_s(self.sf_set[0])
         try:
-            self.loss_params()
+            loss = self.loss_params()
         except ValueError as exc:
             raise ConfigError(f"path-loss parameters: {exc}") from None
         try:
-            self.sensitivity_table()
+            table = self.sensitivity_table()
         except ValueError as exc:
             raise ConfigError(f"sensitivity tables: {exc}") from None
+        # A device file fixes the placement; generated clusters must be
+        # mutually hidden yet gateway-covered.
+        if self.device_file is None:
+            validate_geometry(self.geometry(), self.sf_set, self.tx_power_dbm, loss, table)
 
 
 @dataclass
@@ -172,6 +176,18 @@ class SweepGrid:
     sf_sets: tuple[tuple[int, ...], ...] | None = None
     n_areas_values: tuple[int, ...] | None = None
     seeds: tuple[int, ...] = (1,)
+
+    def validate(self) -> None:
+        # An empty list would fall back to the base config unnoticed, and a
+        # repeated value would count one run twice.
+        for f in fields(self):
+            values = getattr(self, f.name)
+            if values == ():
+                raise ConfigError(f"{f.name} must be non-empty")
+            if values is not None and len(set(values)) != len(values):
+                raise ConfigError(f"{f.name} must not contain duplicates, got {values}")
+        if any(seed < 0 for seed in self.seeds):
+            raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
 
 
 def _split_list(value: str, key: str, lineno: int) -> list[str]:
@@ -244,46 +260,45 @@ def _parse_choice(value: str, key: str, lineno: int) -> str:
     return low
 
 
-_SCENARIO_KEYS = {
-    "n_devices": _parse_int,
-    "sim_time_s": _parse_float,
-    "mac": _parse_choice,
-    "traffic": _parse_choice,
-    "period_set_s": _parse_float_list,
-    "sf_set": _parse_int_list,
-    "p": _parse_p,
-    "n_areas": _parse_int,
-    "cluster_radius_m": _parse_float,
-    "ring_radius_m": _parse_float,
-    "tx_power_dbm": _parse_float,
-    "bandwidth_hz": _parse_float,
-    "coding_rate": _parse_int,
-    "preamble_symbols": _parse_int,
-    "explicit_header": _parse_bool,
-    "crc": _parse_bool,
-    "low_data_rate_optimize": _parse_choice,
-    "payload_bytes": _parse_int,
-    "reference_loss_db": _parse_float,
-    "reference_distance_m": _parse_float,
-    "path_loss_exponent": _parse_float,
-    "shadowing_sigma_db": _parse_float,
-    "device_sensitivity_dbm": _parse_float_list,
-    "gateway_sensitivity_dbm": _parse_float_list,
-    "gateway_paths": _parse_int,
-    "seed": _parse_int,
-    "offsets": _parse_choice,
-    "sensing_interval_s": _parse_sensing,
-    "offered_load": _parse_float,
-    "duty_cycle_enforce": _parse_bool,
-    "device_file": lambda value, key, lineno: value,
+def _parse_sf_sets(value: str, key: str, lineno: int) -> tuple[tuple[int, ...], ...]:
+    # Each cell is one SF set; multiple SFs inside a cell join with '+',
+    # e.g. sf_sets = {8, 8+9+10}.
+    sets = []
+    for tok in _split_list(value, key, lineno):
+        sets.append(tuple(_parse_int(part.strip(), key, lineno) for part in tok.split("+")))
+    return tuple(sets)
+
+
+# One parser per field annotation, so each key is declared once: as a
+# field of RunConfig or SweepGrid.  An annotation without a parser fails
+# here, at import.
+_ANNOTATION_PARSERS = {
+    "int": _parse_int,
+    "float": _parse_float,
+    "bool": _parse_bool,
+    "str": _parse_choice,
+    "str | None": lambda value, key, lineno: value,
+    "float | None": _parse_sensing,
+    "float | tuple[float, ...]": _parse_p,
+    "tuple[int, ...]": _parse_int_list,
+    "tuple[float, ...]": _parse_float_list,
+    "tuple[int, ...] | None": _parse_int_list,
+    "tuple[float, ...] | None": _parse_float_list,
+    "tuple[tuple[int, ...], ...] | None": _parse_sf_sets,
+}
+_PARSERS = {
+    cls: {f.name: _ANNOTATION_PARSERS[f.type] for f in fields(cls)}
+    for cls in (RunConfig, SweepGrid)
 }
 
 
-def _assign(text: str, target, parsers: dict, kind: str):
-    """Apply each ``key = value`` line of ``text`` to a copy of ``target``.
+def _assign(text: str, target, kind: str):
+    """Apply each ``key = value`` line of ``text`` to a copy of ``target``,
+    parsing each value by its field's annotation.
 
     ``kind`` names the document's keys in errors ("key" or "grid key").
     """
+    parsers = _PARSERS[type(target)]
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -303,7 +318,7 @@ def _assign(text: str, target, parsers: dict, kind: str):
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a scenario document; all defaults applied."""
-    cfg = _assign(text, RunConfig(), _SCENARIO_KEYS, "key")
+    cfg = _assign(text, RunConfig(), "key")
     cfg.validate()
     return cfg
 
@@ -312,31 +327,9 @@ def load_config(path: str | Path) -> RunConfig:
     return parse_config(Path(path).read_text())
 
 
-def _parse_sf_sets(value: str, key: str, lineno: int) -> tuple[tuple[int, ...], ...]:
-    # Each cell is one SF set; multiple SFs inside a cell join with '+',
-    # e.g. sf_sets = {8, 8+9+10}.
-    sets = []
-    for tok in _split_list(value, key, lineno):
-        sets.append(tuple(_parse_int(part.strip(), key, lineno) for part in tok.split("+")))
-    return tuple(sets)
-
-
-_GRID_KEYS = {
-    "device_counts": _parse_int_list,
-    "p_values": _parse_float_list,
-    "sf_sets": _parse_sf_sets,
-    "n_areas_values": _parse_int_list,
-    "seeds": _parse_int_list,
-}
-
-
 def parse_grid(text: str) -> SweepGrid:
-    grid = _assign(text, SweepGrid(), _GRID_KEYS, "grid key")
-    for key in _GRID_KEYS:
-        if getattr(grid, key) == ():
-            raise ConfigError(f"{key} must be non-empty")
-    if any(seed < 0 for seed in grid.seeds):
-        raise ConfigError(f"seeds must be >= 0, got {grid.seeds}")
+    grid = _assign(text, SweepGrid(), "grid key")
+    grid.validate()
     return grid
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,8 +41,8 @@ def build_topology(cfg: RunConfig, streams: RngStreams) -> topology.Topology:
     """The run's devices, their gateway receive powers and the vicinity matrix.
 
     Devices come from ``cfg.device_file`` as listed, or else from generated
-    placement: validated cluster geometry, round-robin attributes.  Either
-    way each device then draws its shadowing fade, in device order.
+    placement: cluster geometry, round-robin attributes.  Either way each
+    device then draws its shadowing fade, in device order.
     """
     loss = cfg.loss_params()
     table = cfg.sensitivity_table()
@@ -53,8 +53,7 @@ def build_topology(cfg: RunConfig, streams: RngStreams) -> topology.Topology:
                 f"n_devices={cfg.n_devices} but {cfg.device_file!r} defines {len(devices)} devices"
             )
     else:
-        geom = cfg.geometry()
-        topology.validate_geometry(geom, cfg.sf_set, cfg.tx_power_dbm, loss, table)
+        geom = cfg.geometry()  # checked by cfg.validate()
         positions = topology.place_clusters(cfg.n_devices, geom, streams.stream(STREAM_PLACEMENT))
         devices = topology.assign_attributes(
             positions, cfg.sf_set, cfg.period_set_s, cfg.p, cfg.tx_power_dbm
@@ -204,16 +203,11 @@ class Simulation:
         return RunResult(counters=self.counters, records=self.records, audit=audit)
 
 
-def run_scenario(
-    cfg: RunConfig, seed: int | None = None, *, keep_records: bool = True
-) -> RunResult:
+def run_scenario(cfg: RunConfig, *, keep_records: bool = True) -> RunResult:
     """Build the configured topology, run one scenario, return its result.
 
-    ``seed``, when given, replaces ``cfg.seed``; ``keep_records=False``
-    leaves ``result.records`` at None.
+    ``keep_records=False`` leaves ``result.records`` at None.
     """
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
     cfg.validate()
     topo = build_topology(cfg, RngStreams(cfg.seed))
     sim = Simulation(

@@ -59,12 +59,26 @@ def scenario_name(n_devices: int, sf_set, p, n_areas: int) -> str:
     return f"n{n_devices}_sf{sfs}_p{p_label}_a{n_areas}"
 
 
+def _run_all(points: list[RunConfig]) -> list[Counters]:
+    """Validate every point, then run each without its transmission log:
+    a bad point fails the whole list before the first run."""
+    for point in points:
+        point.validate()
+    return [run_scenario(point, keep_records=False).counters for point in points]
+
+
 def run_sweep(base_cfg: RunConfig, grid: SweepGrid) -> list[dict]:
     """Cartesian product of grid cells x seeds, one independent run each.
 
-    Every cell is validated before the first run.  Appends a mean and a population-stddev summary row of prr_generated per
-    cell (seed column ``mean``/``stddev``).
+    The grid and every run are validated before the first run.  Appends a
+    mean and a population-stddev summary row of prr_generated per cell
+    (seed column ``mean``/``stddev``).
     """
+    grid.validate()
+    if base_cfg.device_file is not None and grid != SweepGrid(seeds=grid.seeds):
+        raise ConfigError(
+            f"device_file {base_cfg.device_file!r} fixes the devices: a sweep may vary only seeds"
+        )
     device_counts = grid.device_counts or (base_cfg.n_devices,)
     p_values = grid.p_values or (base_cfg.p,)
     sf_sets = grid.sf_sets or (base_cfg.sf_set,)
@@ -75,16 +89,13 @@ def run_sweep(base_cfg: RunConfig, grid: SweepGrid) -> list[dict]:
             device_counts, sf_sets, p_values, n_areas_values
         )
     ]
-    # A bad cell fails the sweep before any run, not after the cells before it.
-    for cfg in cells:
-        cfg.validate()
+    counters = iter(_run_all([replace(cell, seed=s) for cell in cells for s in grid.seeds]))
     rows: list[dict] = []
     for cfg in cells:
         name = scenario_name(cfg.n_devices, cfg.sf_set, cfg.p, cfg.n_areas)
         prrs = []
         for seed in grid.seeds:
-            result = run_scenario(cfg, seed=seed, keep_records=False)
-            row = result_row(name, seed, cfg, result.counters)
+            row = result_row(name, seed, cfg, next(counters))
             rows.append(row)
             if row["prr_generated"] is not None:
                 prrs.append(row["prr_generated"])
@@ -106,24 +117,13 @@ def aloha_validation(g_values, cfg: RunConfig) -> list[dict]:
         raise ConfigError("aloha_validation requires mac = aloha")
     if cfg.traffic != "poisson":
         raise ConfigError("aloha_validation requires traffic = poisson")
-    if len(cfg.sf_set) != 1:
-        raise ConfigError("aloha_validation requires a single SF")
-    toa_s = phy.time_on_air(cfg.sf_set[0], cfg.radio_params())
-    rows = []
-    for idx, g in enumerate(g_values):
-        if g <= 0:
-            raise ConfigError(f"offered load must be positive, got {g}")
-        point = replace(cfg, offered_load=float(g), seed=cfg.seed + idx)
-        result = run_scenario(point, keep_records=False)
-        packet_times = cfg.sim_time_s / toa_s
-        rows.append(
-            {
-                "g": float(g),
-                "throughput": result.counters.received / packet_times,
-                "theoretical": g * math.exp(-2.0 * g),
-            }
-        )
-    return rows
+    gs = [float(g) for g in g_values]
+    counters = _run_all([replace(cfg, offered_load=g, seed=cfg.seed + i) for i, g in enumerate(gs)])
+    packet_times = cfg.sim_time_s / phy.time_on_air(cfg.sf_set[0], cfg.radio_params())
+    return [
+        {"g": g, "throughput": c.received / packet_times, "theoretical": g * math.exp(-2.0 * g)}
+        for g, c in zip(gs, counters)
+    ]
 
 
 def aloha_csv_text(rows: list[dict]) -> str:

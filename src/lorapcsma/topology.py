@@ -17,7 +17,7 @@ class ConfigError(ValueError):
     the key or the file line."""
 
 
-class GeometryError(ValueError):
+class GeometryError(ConfigError):
     """Requested cluster geometry cannot satisfy hiding/coverage bounds."""
 
 

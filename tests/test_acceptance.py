@@ -7,6 +7,7 @@ replays, not flaky estimates.
 
 import io
 import statistics
+from dataclasses import replace
 
 from conftest import above_sensitivity, devices_at, hidden_star_positions, overlapping_pairs, vicinity_of
 from lorapcsma import phy
@@ -56,7 +57,7 @@ def test_c03_non_hidden_exclusion():
     for seed in range(1, 11):
         p = 0.25 if seed % 2 else 1.0
         cfg = RunConfig(n_devices=20, n_areas=1, sf_set=(8,), p=p, sim_time_s=3600.0)
-        result = run_scenario(cfg, seed=seed)
+        result = run_scenario(replace(cfg, seed=seed))
         collided += result.counters.collided
         vic = build_topology(cfg, RngStreams(seed)).vicinity
         for a, b in overlapping_pairs(result.records):
@@ -104,7 +105,7 @@ def test_c05_demod_path_limit():
 def _mean_prr(cfg: RunConfig, seeds) -> float:
     values = []
     for seed in seeds:
-        result = run_scenario(cfg, seed=seed)
+        result = run_scenario(replace(cfg, seed=seed))
         values.append(compute_prr(result.counters)[0])
     return statistics.mean(values)
 
@@ -162,7 +163,7 @@ def test_c09_determinism():
     for _ in range(2):
         csv_out, trace_out = io.StringIO(), io.StringIO()
         write_csv(run_sweep(base, grid), csv_out)
-        result = run_scenario(base, seed=11)
+        result = run_scenario(replace(base, seed=11))
         write_trace(result.records, trace_out)
         outputs.append((csv_out.getvalue(), trace_out.getvalue()))
     ok = outputs[0] == outputs[1]

@@ -1,8 +1,14 @@
 """Scenario/grid document parsing and validation."""
 
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
-from lorapcsma.config import ConfigError, parse_config, parse_grid
+from lorapcsma.config import ConfigError, RunConfig, parse_config, parse_grid
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_minimal_document_gets_defaults():
@@ -135,6 +141,9 @@ def test_grid_rejects_unknown_key():
             for key in ("device_counts", "p_values", "sf_sets", "n_areas_values", "seeds")
         ],
         ("seeds = {1, -2}\n", "seeds must be >= 0"),
+        # A repeated value would run one cell or seed twice and count it twice.
+        ("seeds = {1, 1}\n", "seeds must not contain duplicates"),
+        ("p_values = {0.5, 0.5}\n", "p_values must not contain duplicates"),
     ],
 )
 def test_grid_invalid_dimension_is_a_named_error(doc, match):
@@ -147,3 +156,11 @@ def test_malformed_line_reports_position():
         parse_config("n_devices = 5\njust some words\n")
     with pytest.raises(ConfigError, match="braced list"):
         parse_config("n_devices = 5\nsf_set = 8,9\n")
+
+
+def test_readme_key_table_lists_every_run_config_field_in_order():
+    # The RunConfig fields are the one declaration of the scenario keys.
+    section = README.read_text().split("## Scenario configuration", 1)[1]
+    first_cells = re.findall(r"^\| (`[^|]*`) \|", section, re.MULTILINE)
+    keys = [key for cell in first_cells for key in re.findall(r"`(\w+)`", cell)]
+    assert keys == [f.name for f in fields(RunConfig)]

@@ -116,7 +116,7 @@ def test_mean_prr_decreases_with_device_count():
     def mean_prr(n):
         values = []
         for seed in range(1, 6):
-            result = run_scenario(RunConfig(n_devices=n, n_areas=3, sf_set=(8,)), seed=seed)
+            result = run_scenario(RunConfig(n_devices=n, n_areas=3, sf_set=(8,), seed=seed))
             values.append(compute_prr(result.counters)[0])
         return sum(values) / len(values)
 
@@ -154,7 +154,7 @@ def test_sweep_cardinality_and_summaries():
 def test_sweep_validates_every_cell_before_the_first_run(monkeypatch):
     from lorapcsma import sweep
 
-    def run_scenario_spy(cfg, seed=None):
+    def run_scenario_spy(*args, **kwargs):
         raise AssertionError("a sweep cell ran before every cell was validated")
 
     monkeypatch.setattr(sweep, "run_scenario", run_scenario_spy)
@@ -162,6 +162,75 @@ def test_sweep_validates_every_cell_before_the_first_run(monkeypatch):
     base = RunConfig(n_devices=3, p=(0.25, 0.5, 1.0), sim_time_s=50.0, period_set_s=(10.0,))
     with pytest.raises(ConfigError, match="per-device p"):
         run_sweep(base, SweepGrid(device_counts=(3, 4), seeds=(1, 2)))
+
+
+SMALL = RunConfig(n_devices=2, sim_time_s=50.0, period_set_s=(10.0,))
+
+
+def _three_device_file_config(tmp_path, sim_time_s: float) -> RunConfig:
+    """A run over a file of three SF8 devices with 100 s periods."""
+    path = tmp_path / "devices.txt"
+    path.write_text("0 100 0 0 8 100 1.0\n1 200 0 0 8 100 1.0\n2 300 0 0 8 100 1.0\n")
+    return RunConfig(n_devices=3, device_file=str(path), sim_time_s=sim_time_s)
+
+
+@pytest.mark.parametrize(
+    "start,match",
+    [
+        pytest.param(
+            lambda from_file: run_sweep(SMALL, SweepGrid(n_areas_values=(1, 30))),
+            "detect range",
+            id="geometry-failing-cell",
+        ),
+        pytest.param(
+            lambda from_file: run_sweep(SMALL, SweepGrid(seeds=(1, -2))),
+            "seeds must be >= 0",
+            id="negative-seed",
+        ),
+        pytest.param(
+            lambda from_file: run_sweep(SMALL, SweepGrid(device_counts=(20, 20))),
+            "device_counts must not contain duplicates",
+            id="repeated-cell",
+        ),
+        pytest.param(
+            lambda from_file: aloha_validation(
+                [0.5, 0.0], RunConfig(n_devices=10, mac="aloha", traffic="poisson", sim_time_s=1.0)
+            ),
+            "offered_load must be positive",
+            id="aloha-zero-load",
+        ),
+        pytest.param(
+            lambda from_file: run_sweep(
+                from_file,
+                SweepGrid(p_values=(0.1, 1.0), sf_sets=((8,), (12,)), n_areas_values=(1, 3)),
+            ),
+            "fixes the devices",
+            id="device-file-cells",
+        ),
+        pytest.param(
+            lambda from_file: run_sweep(from_file, SweepGrid(device_counts=(3, 4))),
+            "fixes the devices",
+            id="device-file-counts",
+        ),
+    ],
+)
+def test_no_run_starts_before_a_bad_point(tmp_path, monkeypatch, start, match):
+    runs = []
+
+    def recording_run_scenario(cfg, **kwargs):
+        runs.append(cfg)
+        return run_scenario(cfg, **kwargs)
+
+    monkeypatch.setattr(sweep, "run_scenario", recording_run_scenario)
+    with pytest.raises(ConfigError, match=match):
+        start(_three_device_file_config(tmp_path, sim_time_s=50.0))
+    assert runs == []
+
+
+def test_device_file_sweep_may_vary_seeds(tmp_path):
+    rows = run_sweep(_three_device_file_config(tmp_path, sim_time_s=500.0), SweepGrid(seeds=(1, 2)))
+    assert [r["seed"] for r in rows] == [1, 2, "mean", "stddev"]
+    assert all(r["generated"] == 15 for r in rows[:2])
 
 
 def test_sweep_is_order_independent():
@@ -441,6 +510,20 @@ def test_cli_negative_seed_is_a_config_error_before_any_run(tmp_path, monkeypatc
         assert cli.main(argv) == 2, argv
         err = capsys.readouterr().err
         assert f"{key} must be >= 0" in err and "Traceback" not in err
+    assert runs == [] and not out.exists()
+
+
+def test_cli_sweep_with_a_geometry_failing_cell_runs_nothing(tmp_path, monkeypatch, capsys):
+    runs = []
+    monkeypatch.setattr(sweep, "run_scenario", lambda *args, **kwargs: runs.append(args))
+    config = tmp_path / "scenario.cfg"
+    config.write_text("n_devices = 2\nsim_time_s = 50\nperiod_set_s = {10}\n")
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("n_areas_values = {1, 30}\n")
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--config", str(config), "--grid", str(grid), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "detect range" in err and "Traceback" not in err
     assert runs == [] and not out.exists()
 
 

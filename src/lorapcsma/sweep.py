@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import statistics
 from dataclasses import replace
 from itertools import product
+from typing import BinaryIO
 
 from . import phy
 from .config import ConfigError, RunConfig, SweepGrid
@@ -59,12 +62,92 @@ def scenario_name(n_devices: int, sf_set, p, n_areas: int) -> str:
     return f"n{n_devices}_sf{sfs}_p{p_label}_a{n_areas}"
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: the size of its affinity mask, or 1
+    on a platform without one (macOS, Windows), which then runs serially."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _run_share(points: list[RunConfig]) -> list[Counters]:
+    return [run_scenario(point, keep_records=False).counters for point in points]
+
+
+def _fork_worker(points: list[RunConfig]) -> tuple[int, BinaryIO]:
+    """Fork a child that runs ``points`` and pickles into a pipe either
+    ``(True, counters)`` or ``(False, exception)``; return its pid and the
+    pipe's read end.  The child never returns into the caller's code."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            try:
+                reply = pickle.dumps((True, _run_share(points)))
+            except BaseException as exc:  # re-raised by the parent
+                try:
+                    reply = pickle.dumps((False, exc))
+                except Exception:
+                    reply = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(reply)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")
+
+
+def _run_forked(points: list[RunConfig], n: int) -> list[Counters]:
+    """Run ``points[k::n]`` in worker k: worker 0 is this process, the
+    others are forked children.  If anything raises here, every child still
+    running is killed and every child is reaped before the error propagates."""
+    import signal  # only runs that fork need it
+
+    workers: list[tuple[int, BinaryIO]] = []  # children not yet reaped
+    try:
+        for k in range(1, n):
+            workers.append(_fork_worker(points[k::n]))
+        shares = [_run_share(points[::n])]
+        while workers:
+            pid, pipe = workers[0]
+            with pipe:
+                reply = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del workers[0]
+            if not reply:
+                code = os.waitstatus_to_exitcode(status)
+                raise RuntimeError(f"sweep worker {pid} died without a result (exit code {code})")
+            ok, payload = pickle.loads(reply)
+            if not ok:
+                raise payload
+            shares.append(payload)
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [shares[i % n][i // n] for i in range(len(points))]
+
+
 def _run_all(points: list[RunConfig]) -> list[Counters]:
     """Validate every point, then run each without its transmission log:
-    a bad point fails the whole list before the first run."""
+    a bad point fails the whole list before the first run.
+
+    The runs are split over the CPUs in the affinity mask, at most one
+    worker per point; the counters come back in point order, so the result
+    does not depend on the number of workers."""
     for point in points:
         point.validate()
-    return [run_scenario(point, keep_records=False).counters for point in points]
+    n = min(_cpu_count(), len(points))
+    if n <= 1:
+        return _run_share(points)
+    return _run_forked(points, n)
 
 
 def run_sweep(base_cfg: RunConfig, grid: SweepGrid) -> list[dict]:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from lorapcsma import phy
+from lorapcsma import phy, sweep
 from lorapcsma.config import RunConfig, SweepGrid, load_config
 from lorapcsma.metrics import write_csv, write_trace
 from lorapcsma.simulation import run_scenario
@@ -35,7 +35,7 @@ def _sha256(write, data) -> str:
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
-def test_sweep_csv_matches_golden_digest():
+def _golden_sweep_rows() -> list[dict]:
     base = load_config(CONFIGS / "example_run.cfg")
     grid = SweepGrid(
         device_counts=(20, 40),
@@ -44,7 +44,29 @@ def test_sweep_csv_matches_golden_digest():
         n_areas_values=(1, 3),
         seeds=(1, 2),
     )
-    assert _sha256(write_csv, run_sweep(base, grid)) == SWEEP_CSV_SHA256
+    return run_sweep(base, grid)
+
+
+def test_sweep_csv_matches_golden_digest():
+    assert _sha256(write_csv, _golden_sweep_rows()) == SWEEP_CSV_SHA256
+
+
+# The worker count is the affinity mask's size; pinning it covers the serial
+# path and the forked split on any host.  No case forks more than 2 children.
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_sweep_csv_digest_holds_for_any_worker_count(monkeypatch, cpus):
+    monkeypatch.setattr(sweep, "_cpu_count", lambda: cpus)
+    assert _sha256(write_csv, _golden_sweep_rows()) == SWEEP_CSV_SHA256
+
+
+def test_aloha_validation_csv_is_identical_for_any_worker_count(monkeypatch):
+    toa_s = phy.time_on_air(8, phy.RadioParams())
+    cfg = RunConfig(n_devices=100, sim_time_s=2000 * toa_s, mac="aloha", traffic="poisson", sf_set=(8,))
+    texts = []
+    for cpus in (1, 2, 3, 4):  # 4 CPUs for 3 points: one worker per point
+        monkeypatch.setattr(sweep, "_cpu_count", lambda: cpus)
+        texts.append(aloha_csv_text(aloha_validation([0.25, 0.5, 1.0], cfg)))
+    assert texts[1:] == texts[:1] * 3
 
 
 def test_mixed_sf_trace_matches_golden_digest():

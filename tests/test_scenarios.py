@@ -2,8 +2,10 @@
 
 import io
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -525,6 +527,87 @@ def test_cli_sweep_with_a_geometry_failing_cell_runs_nothing(tmp_path, monkeypat
     err = capsys.readouterr().err
     assert "detect range" in err and "Traceback" not in err
     assert runs == [] and not out.exists()
+
+
+def _raising(exc):
+    def fail():
+        raise exc
+
+    return fail
+
+
+def _unpicklable_error(message):
+    class LocalError(RuntimeError):  # a local class cannot be pickled
+        pass
+
+    return LocalError(message)
+
+
+@pytest.mark.parametrize(
+    "fail,code,message",
+    [
+        pytest.param(_raising(RuntimeError("run failed")), 1, "run failed", id="runtime-error"),
+        pytest.param(_raising(ConfigError("bad point")), 2, "bad point", id="config-error"),
+        pytest.param(
+            _raising(_unpicklable_error("not picklable")),
+            1,
+            "LocalError: not picklable",
+            id="unpicklable-error",
+        ),
+        pytest.param(
+            lambda: os.kill(os.getpid(), signal.SIGKILL), 1, "died without a result", id="killed"
+        ),
+    ],
+)
+def test_cli_sweep_reports_a_failure_in_a_worker(tmp_path, monkeypatch, capsys, fail, code, message):
+    parent = os.getpid()
+
+    def run_or_fail_in_a_child(cfg, **kwargs):
+        if os.getpid() != parent:
+            fail()
+        return run_scenario(cfg, **kwargs)
+
+    monkeypatch.setattr(sweep, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(sweep, "run_scenario", run_or_fail_in_a_child)
+    config = tmp_path / "scenario.cfg"
+    config.write_text("n_devices = 2\nsim_time_s = 50\nperiod_set_s = {10}\n")
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("seeds = {1, 2}\n")
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--config", str(config), "--grid", str(grid), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):  # no child is left unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+class _Stop(BaseException):
+    """Not an Exception, like an interrupt or a benchmark probe's stop."""
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [RuntimeError("the parent's share failed"), _Stop("the parent's share stopped")],
+    ids=["error", "stop"],
+)
+def test_a_failure_in_the_parents_share_kills_and_reaps_every_worker(monkeypatch, exc):
+    parent = os.getpid()
+
+    def fail_here_or_keep_the_child_busy(cfg, **kwargs):
+        if os.getpid() == parent:
+            raise exc
+        time.sleep(30)  # a child must be killed, not awaited
+        return run_scenario(cfg, **kwargs)
+
+    monkeypatch.setattr(sweep, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(sweep, "run_scenario", fail_here_or_keep_the_child_busy)
+    start = time.monotonic()
+    with pytest.raises(type(exc), match=str(exc)):
+        run_sweep(SMALL, SweepGrid(seeds=(1, 2, 3)))
+    assert time.monotonic() - start < 20
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_simulation_needs_at_least_one_device():

@@ -29,6 +29,10 @@ class RunAudit:
     channel_clear: bool = True
     events_executed: int = 0
 
+    def check(self) -> None:
+        if self.book_count != self.free_count or not self.channel_clear:
+            raise RuntimeError(f"channel audit failed: a packet put on air did not end, in {self}")
+
 
 @dataclass
 class RunResult:
@@ -200,6 +204,7 @@ class Simulation:
             channel_clear=not gateway.on_air,
             events_executed=self.sched.executed,
         )
+        audit.check()
         return RunResult(counters=self.counters, records=self.records, audit=audit)
 
 

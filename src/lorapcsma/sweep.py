@@ -5,7 +5,9 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import signal
 import statistics
+from contextlib import suppress
 from dataclasses import replace
 from itertools import product
 from typing import BinaryIO
@@ -103,12 +105,19 @@ def _fork_worker(points: list[RunConfig]) -> tuple[int, BinaryIO]:
     return pid, os.fdopen(read_fd, "rb")
 
 
-def _run_forked(points: list[RunConfig], n: int) -> list[Counters]:
-    """Run ``points[k::n]`` in worker k: worker 0 is this process, the
-    others are forked children.  If anything raises here, every child still
-    running is killed and every child is reaped before the error propagates."""
-    import signal  # only runs that fork need it
+def _run_all(points: list[RunConfig]) -> list[Counters]:
+    """Validate every point, then run each without its transmission log:
+    a bad point fails the whole list before the first run.
 
+    The runs are split over the CPUs in the affinity mask, at most one
+    worker per point: worker k runs ``points[k::n]``, worker 0 in this
+    process and the others in forked children, and the counters come back
+    in point order, so the result does not depend on the number of workers.
+    If anything raises here, every child still running is killed and every
+    child is reaped before the error propagates."""
+    for point in points:
+        point.validate()
+    n = max(1, min(_cpu_count(), len(points)))
     workers: list[tuple[int, BinaryIO]] = []  # children not yet reaped
     try:
         for k in range(1, n):
@@ -128,26 +137,16 @@ def _run_forked(points: list[RunConfig], n: int) -> list[Counters]:
                 raise payload
             shares.append(payload)
     finally:
+        # A child reaped just before an interrupt is still listed.  Kill a
+        # pid only while it is still an unreaped child of this process: once
+        # reaped, it may name another process.
         for pid, pipe in workers:
             pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            with suppress(ChildProcessError):
+                if os.waitpid(pid, os.WNOHANG) == (0, 0):
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
     return [shares[i % n][i // n] for i in range(len(points))]
-
-
-def _run_all(points: list[RunConfig]) -> list[Counters]:
-    """Validate every point, then run each without its transmission log:
-    a bad point fails the whole list before the first run.
-
-    The runs are split over the CPUs in the affinity mask, at most one
-    worker per point; the counters come back in point order, so the result
-    does not depend on the number of workers."""
-    for point in points:
-        point.validate()
-    n = min(_cpu_count(), len(points))
-    if n <= 1:
-        return _run_share(points)
-    return _run_forked(points, n)
 
 
 def run_sweep(base_cfg: RunConfig, grid: SweepGrid) -> list[dict]:

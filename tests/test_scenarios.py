@@ -15,10 +15,10 @@ import pytest
 from conftest import overlapping_pairs
 from lorapcsma import cli, phy, sweep
 from lorapcsma.config import ConfigError, RunConfig, SweepGrid
-from lorapcsma.gateway import Outcome
+from lorapcsma.gateway import GatewayPhy, Outcome
 from lorapcsma.kernel import RngStreams
 from lorapcsma.metrics import compute_prr, write_csv, write_trace
-from lorapcsma.simulation import Simulation, build_topology, run_scenario
+from lorapcsma.simulation import RunAudit, Simulation, build_topology, run_scenario
 from lorapcsma.sweep import aloha_validation, result_row, run_sweep
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -606,6 +606,63 @@ def test_a_failure_in_the_parents_share_kills_and_reaps_every_worker(monkeypatch
     with pytest.raises(type(exc), match=str(exc)):
         run_sweep(SMALL, SweepGrid(seeds=(1, 2, 3)))
     assert time.monotonic() - start < 20
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_stop_right_after_reaping_a_worker_still_reaps_the_rest(monkeypatch):
+    # The stop lands after os.waitpid has reaped the first worker but before
+    # the sweep knows; cleanup must neither hide it nor skip the second one.
+    waitpid = os.waitpid
+    stops = []
+
+    def reap_then_stop(pid, options):
+        result = waitpid(pid, options)
+        if not stops:
+            stops.append(pid)
+            raise _Stop("stopped after a reap")
+        return result
+
+    monkeypatch.setattr(sweep, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(os, "waitpid", reap_then_stop)
+    with pytest.raises(_Stop, match="stopped after a reap"):
+        run_sweep(SMALL, SweepGrid(seeds=(1, 2, 3)))
+    monkeypatch.undo()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "audit",
+    [RunAudit(book_count=3, free_count=2), RunAudit(book_count=2, free_count=2, channel_clear=False)],
+    ids=["unfreed", "on-air"],
+)
+def test_a_failed_channel_audit_raises(audit):
+    with pytest.raises(RuntimeError, match="channel audit failed"):
+        audit.check()
+
+
+def test_cli_sweep_reports_a_failed_channel_audit_in_a_worker(tmp_path, monkeypatch, capsys):
+    # Every run audits its own channel, so a bad run fails the sweep in
+    # whichever worker it ran.
+    parent = os.getpid()
+    take_off_air = GatewayPhy._take_off_air
+
+    def lose_the_end_in_a_child(self, rec):
+        take_off_air(self, rec)
+        if os.getpid() != parent:
+            self.ends -= 1
+
+    monkeypatch.setattr(sweep, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(GatewayPhy, "_take_off_air", lose_the_end_in_a_child)
+    config = tmp_path / "scenario.cfg"
+    config.write_text("n_devices = 2\nsim_time_s = 50\nperiod_set_s = {10}\n")
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("seeds = {1, 2}\n")
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--config", str(config), "--grid", str(grid), "--out", str(out)]) == 1
+    assert "channel audit failed" in capsys.readouterr().err
+    assert not out.exists()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

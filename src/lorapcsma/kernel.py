@@ -128,15 +128,3 @@ class RngStream:
         self._claim("normal")
         return float(self._gen.normal(0.0, sigma))
 
-
-class RngStreams:
-    """Factory of named streams for one run; one stream per concern."""
-
-    def __init__(self, seed: int) -> None:
-        self.seed = seed
-        self._streams: dict[str, RngStream] = {}
-
-    def stream(self, label: str) -> RngStream:
-        if label not in self._streams:
-            self._streams[label] = RngStream(self.seed, label)
-        return self._streams[label]

@@ -12,13 +12,20 @@ after a transmission starts (a backed-off packet therefore shifts the
 device's future schedule), and one period after a suppressed firing.  A
 device holds at most one pending packet; firings that land while a packet
 is pending or on air are counted as suppressed, never queued.
+
+The MAC senses only for a device that is not on air: ``generate`` suppresses
+a firing of an on-air device before sensing, and a device in back-off has
+nothing on air.  So a vicinity row's own (diagonal) entry is never read.
 """
 
 from __future__ import annotations
 
+from . import phy
+from .config import RunConfig
 from .gateway import GatewayPhy, TxRecord
-from .kernel import Scheduler, RngStream, US_PER_S
+from .kernel import Scheduler, RngStream, US_PER_S, us_from_s
 from .metrics import Counters
+from .topology import Topology
 
 DUTY_CYCLE_LIMIT = 0.01
 DUTY_WINDOW_US = 3600 * US_PER_S
@@ -32,43 +39,44 @@ def shall_it_pass(p: float, rng: RngStream) -> bool:
 class PcsmaMac:
     def __init__(
         self,
+        cfg: RunConfig,
+        topo: Topology,
         sched: Scheduler,
         gateway: GatewayPhy,
-        persistence: list[float],
-        vicinity: list[bytes],
         counters: Counters,
         records: list[TxRecord] | None,
         persistence_rng: RngStream,
-        *,
-        sf: list[int],
-        prx_dbm: list[float],
-        toa_us: list[int],
-        sense_us: list[int],
-        period_us: list[int],
-        periodic: bool,
-        aloha: bool,
-        duty_cycle_enforce: bool,
     ) -> None:
-        n = len(vicinity)
+        devices = topo.devices
+        n = len(devices)
+        persistence = [float(d.persistence) for d in devices]
         for device, p in enumerate(persistence):
             if not 0.0 < p <= 1.0:
                 raise ValueError(f"persistence for device {device} must be in (0, 1], got {p}")
+        radio = cfg.radio_params()
+        sfs = {d.sf for d in devices}
+        toa_us = {sf: us_from_s(phy.time_on_air(sf, radio)) for sf in sfs}
+        if cfg.sensing_interval_s is None:
+            sense_us = {sf: us_from_s(phy.sensing_interval_s(sf, radio)) for sf in sfs}
+        else:
+            sense_us = dict.fromkeys(sfs, us_from_s(cfg.sensing_interval_s))
         self.sched = sched
         self.gateway = gateway
         self.on_air = gateway.on_air  # the gateway's map itself, not a copy
-        self.persistence = [float(p) for p in persistence]
-        self.vicinity = vicinity
+        self.persistence = persistence
+        # One 0/1 byte row per sensor, read in place from the bool matrix.
+        self.vicinity = [row.tobytes() for row in topo.vicinity]
         self.counters = counters
         self.records = records  # transmission log; None keeps none
         self.rng = persistence_rng
-        self.sf = sf
-        self.prx_dbm = prx_dbm
-        self.toa_us = toa_us
-        self.sense_us = sense_us
-        self.period_us = period_us
-        self.periodic = periodic
-        self.aloha = aloha
-        self.duty_cycle_enforce = duty_cycle_enforce
+        self.sf = [d.sf for d in devices]
+        self.prx_dbm = topo.prx_dbm
+        self.toa_us = [toa_us[d.sf] for d in devices]
+        self.sense_us = [sense_us[d.sf] for d in devices]
+        self.period_us = [us_from_s(d.period_s) for d in devices]
+        self.periodic = cfg.traffic == "periodic"
+        self.aloha = cfg.mac == "aloha"
+        self.duty_cycle_enforce = cfg.duty_cycle_enforce
 
         self.backoff = [False] * n
         self._duty_log: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -79,7 +87,8 @@ class PcsmaMac:
         """True iff some device in the vicinity set is transmitting.
 
         Checks who is on air against the sensor's vicinity row, whose own
-        entry is 0; the transmitters' SFs are not consulted (energy-style).
+        entry is never read (the sensor is not on air); the transmitters' SFs
+        are not consulted (energy-style).
         """
         row = self.vicinity[device]
         for j in self.on_air:

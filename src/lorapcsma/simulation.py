@@ -4,12 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import phy, topology
 from .config import ConfigError, RunConfig
 from .gateway import GatewayPhy, TxRecord
-from .kernel import RngStreams, Scheduler, us_from_s
+from .kernel import RngStream, Scheduler, us_from_s
 from .mac import PcsmaMac
 from .metrics import Counters
 
@@ -41,15 +39,29 @@ class RunResult:
     audit: RunAudit
 
 
-def build_topology(cfg: RunConfig, streams: RngStreams) -> topology.Topology:
+def topology_of(
+    cfg: RunConfig, devices: list[topology.DeviceSpec], *, offsets_s: list[float] | None = None
+) -> topology.Topology:
+    """The topology of explicit devices under ``cfg``'s PHY: their gateway
+    receive powers and vicinity matrix, plus optional first-firing offsets
+    (one per device, in seconds)."""
+    if not devices:
+        raise ValueError("need at least one device")
+    if offsets_s is not None and len(offsets_s) != len(devices):
+        raise ValueError("offsets_s needs one entry per device")
+    loss = cfg.loss_params()
+    vicinity = topology.build_vicinity(devices, loss, cfg.sensitivity_table())
+    return topology.Topology(devices, vicinity, topology.gateway_rx_dbm(devices, loss), offsets_s)
+
+
+def build_topology(cfg: RunConfig) -> topology.Topology:
     """The run's devices, their gateway receive powers and the vicinity matrix.
 
     Devices come from ``cfg.device_file`` as listed, or else from generated
     placement: cluster geometry, round-robin attributes.  Either way each
-    device then draws its shadowing fade, in device order.
+    device then draws its shadowing fade, in device order.  Every stream is
+    seeded from ``cfg.seed``, so this rebuilds the topology of that run.
     """
-    loss = cfg.loss_params()
-    table = cfg.sensitivity_table()
     if cfg.device_file is not None:
         devices = topology.load_device_file(cfg.device_file, cfg.tx_power_dbm)
         if cfg.n_devices != len(devices):
@@ -58,30 +70,32 @@ def build_topology(cfg: RunConfig, streams: RngStreams) -> topology.Topology:
             )
     else:
         geom = cfg.geometry()  # checked by cfg.validate()
-        positions = topology.place_clusters(cfg.n_devices, geom, streams.stream(STREAM_PLACEMENT))
+        rng = RngStream(cfg.seed, STREAM_PLACEMENT)
+        positions = topology.place_clusters(cfg.n_devices, geom, rng)
         devices = topology.assign_attributes(
             positions, cfg.sf_set, cfg.period_set_s, cfg.p, cfg.tx_power_dbm
         )
     if cfg.shadowing_sigma_db > 0:
-        shadow_rng = streams.stream(STREAM_SHADOWING)
+        shadow_rng = RngStream(cfg.seed, STREAM_SHADOWING)
         for dev in devices:
             dev.shadow_db = shadow_rng.normal(cfg.shadowing_sigma_db)
-    prx = topology.gateway_rx_dbm(devices, loss)
+    topo = topology_of(cfg, devices)
     # A device file may list devices out of coverage; generated placement
     # without shadowing promises coverage.
     if cfg.device_file is None and cfg.shadowing_sigma_db == 0:
-        for dev, rx in zip(devices, prx):
+        table = cfg.sensitivity_table()
+        for dev, rx in zip(devices, topo.prx_dbm):
             if rx < table.threshold_dbm(dev.sf, phy.GATEWAY):
                 raise topology.GeometryError(
                     f"device {dev.id} (SF{dev.sf}) is below gateway sensitivity "
                     f"({rx:.1f} dBm); geometry leaves it out of coverage"
                 )
-    vicinity = topology.build_vicinity(devices, loss, table)
-    return topology.Topology(devices=devices, vicinity=vicinity, prx_dbm=prx)
+    return topo
 
 
 class Simulation:
-    """One independent run: owns the clock, all MAC state, and the gateway.
+    """One independent run over one topology: owns the clock, all MAC state
+    and the gateway.
 
     Every random stream is seeded from ``cfg.seed``.  With ``keep_records``
     the run logs every transmission for its result; without it the run
@@ -89,73 +103,25 @@ class Simulation:
     """
 
     def __init__(
-        self,
-        cfg: RunConfig,
-        devices: list[topology.DeviceSpec],
-        vicinity: np.ndarray,
-        *,
-        prx_dbm: list[float] | None = None,
-        offsets_s: list[float] | None = None,
-        keep_records: bool = True,
+        self, cfg: RunConfig, topo: topology.Topology, *, keep_records: bool = True
     ) -> None:
-        if not devices:
-            raise ValueError("need at least one device")
         self.cfg = cfg
-        self.devices = devices
-        self.offsets_s = offsets_s
-        self.streams = RngStreams(cfg.seed)
+        self.topo = topo
         self.sched = Scheduler()
         self.counters = Counters()
         self.records: list[TxRecord] | None = [] if keep_records else None
-
-        radio = cfg.radio_params()
-        loss = cfg.loss_params()
-        table = cfg.sensitivity_table()
-        if prx_dbm is None:
-            prx_dbm = topology.gateway_rx_dbm(devices, loss)
-        sfs = {d.sf for d in devices}
-        toa_us = {sf: us_from_s(phy.time_on_air(sf, radio)) for sf in sfs}
-        if cfg.sensing_interval_s is None:
-            sense_us = {sf: us_from_s(phy.sensing_interval_s(sf, radio)) for sf in sfs}
-        else:
-            sense_us = dict.fromkeys(sfs, us_from_s(cfg.sensing_interval_s))
-
-        # One 0/1 byte row per sensor, own entry 0.  A bool matrix is read in
-        # place; only rows with a set diagonal entry are rebuilt.
-        matrix = np.asarray(vicinity, dtype=bool)
-        rows = [row.tobytes() for row in matrix]
-        for i in np.flatnonzero(matrix.diagonal()):
-            row = bytearray(rows[i])
-            row[i] = 0
-            rows[i] = bytes(row)
-        self.gateway = GatewayPhy(cfg.gateway_paths, table, self.counters)
-        self.mac = PcsmaMac(
-            self.sched,
-            self.gateway,
-            [d.persistence for d in devices],
-            rows,
-            self.counters,
-            self.records,
-            self.streams.stream(STREAM_PERSISTENCE),
-            sf=[d.sf for d in devices],
-            prx_dbm=list(prx_dbm),
-            toa_us=[toa_us[d.sf] for d in devices],
-            sense_us=[sense_us[d.sf] for d in devices],
-            period_us=[us_from_s(d.period_s) for d in devices],
-            periodic=cfg.traffic == "periodic",
-            aloha=cfg.mac == "aloha",
-            duty_cycle_enforce=cfg.duty_cycle_enforce,
-        )
+        self.gateway = GatewayPhy(cfg.gateway_paths, cfg.sensitivity_table(), self.counters)
+        rng = RngStream(cfg.seed, STREAM_PERSISTENCE)
+        self.mac = PcsmaMac(cfg, topo, self.sched, self.gateway, self.counters, self.records, rng)
 
     # -- traffic seeding ---------------------------------------------------
 
     def _seed_periodic(self) -> None:
-        if self.offsets_s is not None and len(self.offsets_s) != len(self.devices):
-            raise ValueError("offsets_s needs one entry per device")
-        traffic = self.streams.stream(STREAM_TRAFFIC)
-        for i, dev in enumerate(self.devices):
-            if self.offsets_s is not None:
-                offset_us = us_from_s(self.offsets_s[i])
+        offsets_s = self.topo.offsets_s
+        traffic = RngStream(self.cfg.seed, STREAM_TRAFFIC)
+        for i, dev in enumerate(self.topo.devices):
+            if offsets_s is not None:
+                offset_us = us_from_s(offsets_s[i])
             elif self.cfg.offsets == "zero":
                 offset_us = 0
             else:
@@ -163,8 +129,8 @@ class Simulation:
             self.sched.schedule(offset_us, self.mac.generate, i)
 
     def _seed_poisson(self) -> None:
-        self._poisson_mean_s = self.cfg.poisson_mean_gap_s(self.devices[0].sf)
-        self._traffic_rng = self.streams.stream(STREAM_TRAFFIC)
+        self._poisson_mean_s = self.cfg.poisson_mean_gap_s(self.topo.devices[0].sf)
+        self._traffic_rng = RngStream(self.cfg.seed, STREAM_TRAFFIC)
         self._schedule_arrival(0)
 
     def _schedule_arrival(self, k: int) -> None:
@@ -173,7 +139,7 @@ class Simulation:
 
     def _arrival(self, k: int) -> None:
         # Aggregate Poisson arrivals handed to devices round-robin.
-        self.mac.generate(k % len(self.devices))
+        self.mac.generate(k % len(self.topo.devices))
         self._schedule_arrival(k + 1)
 
     # -- execution -----------------------------------------------------------
@@ -214,8 +180,4 @@ def run_scenario(cfg: RunConfig, *, keep_records: bool = True) -> RunResult:
     ``keep_records=False`` leaves ``result.records`` at None.
     """
     cfg.validate()
-    topo = build_topology(cfg, RngStreams(cfg.seed))
-    sim = Simulation(
-        cfg, topo.devices, topo.vicinity, prx_dbm=topo.prx_dbm, keep_records=keep_records
-    )
-    return sim.run()
+    return Simulation(cfg, build_topology(cfg), keep_records=keep_records).run()

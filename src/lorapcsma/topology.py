@@ -267,6 +267,10 @@ def load_device_file(
 
 @dataclass
 class Topology:
+    """A run's input besides its config.  ``offsets_s``, one first firing per
+    device in seconds, overrides ``cfg.offsets`` when given."""
+
     devices: list[DeviceSpec]
     vicinity: np.ndarray
     prx_dbm: list[float]
+    offsets_s: list[float] | None = None

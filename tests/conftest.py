@@ -7,7 +7,7 @@ from dataclasses import replace
 
 from lorapcsma import topology
 from lorapcsma.config import RunConfig
-from lorapcsma.simulation import Simulation
+from lorapcsma.simulation import Simulation, topology_of
 
 
 def devices_at(positions, sf=8, period_s=100.0, p=1.0, tx_power_dbm=14.0):
@@ -16,15 +16,10 @@ def devices_at(positions, sf=8, period_s=100.0, p=1.0, tx_power_dbm=14.0):
     )
 
 
-def vicinity_of(devices, cfg: RunConfig):
-    """The vicinity matrix of explicit devices under ``cfg``'s PHY."""
-    return topology.build_vicinity(devices, cfg.loss_params(), cfg.sensitivity_table())
-
-
 def make_sim(devices, cfg: RunConfig | None = None, *, offsets_s=None, seed=1):
     """Simulation over explicit devices; vicinity derived from the PHY defaults."""
     cfg = replace(cfg or RunConfig(n_devices=len(devices)), seed=seed)
-    return Simulation(cfg, devices, vicinity_of(devices, cfg), offsets_s=offsets_s)
+    return Simulation(cfg, topology_of(cfg, devices, offsets_s=offsets_s))
 
 
 def above_sensitivity(prx_dbm, sf, role, table):

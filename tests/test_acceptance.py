@@ -9,12 +9,11 @@ import io
 import statistics
 from dataclasses import replace
 
-from conftest import above_sensitivity, devices_at, hidden_star_positions, overlapping_pairs, vicinity_of
+from conftest import above_sensitivity, devices_at, hidden_star_positions, overlapping_pairs
 from lorapcsma import phy
 from lorapcsma.config import RunConfig, SweepGrid
-from lorapcsma.kernel import RngStreams
 from lorapcsma.metrics import compute_prr, write_csv, write_trace
-from lorapcsma.simulation import Simulation, build_topology, run_scenario
+from lorapcsma.simulation import Simulation, build_topology, run_scenario, topology_of
 from lorapcsma.sweep import aloha_validation, run_sweep
 
 
@@ -56,10 +55,10 @@ def test_c03_non_hidden_exclusion():
     overlaps = 0
     for seed in range(1, 11):
         p = 0.25 if seed % 2 else 1.0
-        cfg = RunConfig(n_devices=20, n_areas=1, sf_set=(8,), p=p, sim_time_s=3600.0)
-        result = run_scenario(replace(cfg, seed=seed))
+        cfg = RunConfig(n_devices=20, n_areas=1, sf_set=(8,), p=p, sim_time_s=3600.0, seed=seed)
+        result = run_scenario(cfg)
         collided += result.counters.collided
-        vic = build_topology(cfg, RngStreams(seed)).vicinity
+        vic = build_topology(cfg).vicinity
         for a, b in overlapping_pairs(result.records):
             i, j = result.records[a].device, result.records[b].device
             if vic[i, j] and vic[j, i]:
@@ -73,12 +72,9 @@ def test_c04_hidden_pair_determinism():
     synced = run_scenario(cfg)
     prr_synced, _ = compute_prr(synced.counters)
 
-    topo = build_topology(cfg, RngStreams(3))
-    staggered_sim = Simulation(
-        cfg, topo.devices, topo.vicinity, prx_dbm=topo.prx_dbm,
-        offsets_s=[0.0, 1.0],  # one full second >> one ToA (0.103 s)
-    )
-    staggered = staggered_sim.run()
+    devices = build_topology(cfg).devices
+    # One full second >> one ToA (0.103 s).
+    staggered = Simulation(cfg, topology_of(cfg, devices, offsets_s=[0.0, 1.0])).run()
     prr_staggered, _ = compute_prr(staggered.counters)
 
     ok = (
@@ -94,9 +90,9 @@ def test_c05_demod_path_limit():
     # inside gateway range, firing at the same instant.
     devices = devices_at(hidden_star_positions(), period_s=1000.0)
     cfg = RunConfig(n_devices=9, period_set_s=(1000.0,), offsets="zero", sim_time_s=100.0, seed=1)
-    vicinity = vicinity_of(devices, cfg)
-    assert not vicinity.any()  # mutually hidden
-    result = Simulation(cfg, devices, vicinity, offsets_s=[0.0] * 9).run()
+    topo = topology_of(cfg, devices, offsets_s=[0.0] * 9)
+    assert not topo.vicinity.any()  # mutually hidden
+    result = Simulation(cfg, topo).run()
     c = result.counters
     ok = c.no_path == 1 and c.collided == 8 and result.audit.max_paths_bound == 8
     _criterion(5, "demod-path limit", ok, f"no_path={c.no_path} collided={c.collided}")

@@ -14,8 +14,13 @@ def test_package_exports_the_four_documented_names():
 
 
 def test_readme_python_api_example_runs_as_written():
-    section = README.read_text().split("## Python API", 1)[1]
-    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    # Every python block of the section, in order, in one namespace: a later
+    # block may use what an earlier one defined.
+    section = README.read_text().split("## Python API", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
     namespace = {}
-    exec(code, namespace)
+    for code in blocks:
+        exec(code, namespace)
     assert 0.0 <= namespace["prr_generated"] <= 1.0
+    assert namespace["staggered"].counters.received == namespace["staggered"].counters.sent
+    assert namespace["vicinity"].shape == (60, 60)

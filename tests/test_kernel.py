@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lorapcsma.kernel import RNG_BLOCK, RngStream, RngStreams, Scheduler, us_from_s
+from lorapcsma.kernel import RNG_BLOCK, RngStream, Scheduler, us_from_s
 
 
 def test_fifo_tie_break():
@@ -75,22 +75,22 @@ def test_events_spawned_during_run_within_horizon_execute():
 
 
 def test_rng_streams_are_reproducible():
-    a = RngStreams(123).stream("traffic")
-    b = RngStreams(123).stream("traffic")
+    a = RngStream(123, "traffic")
+    b = RngStream(123, "traffic")
     assert [a.uniform() for _ in range(10)] == [b.uniform() for _ in range(10)]
 
 
 def test_rng_uniform_mean():
-    stream = RngStreams(7).stream("traffic")
+    stream = RngStream(7, "traffic")
     draws = [stream.uniform() for _ in range(100_000)]
     assert abs(sum(draws) / len(draws) - 0.5) < 0.01
     assert all(0.0 <= u < 1.0 for u in draws)
 
 
 def test_distinct_stream_ids_give_distinct_sequences():
-    streams = RngStreams(7)
-    a = [streams.stream("traffic").uniform() for _ in range(1000)]
-    b = [streams.stream("persistence").uniform() for _ in range(1000)]
+    traffic, persistence = RngStream(7, "traffic"), RngStream(7, "persistence")
+    a = [traffic.uniform() for _ in range(1000)]
+    b = [persistence.uniform() for _ in range(1000)]
     assert a != b
 
 

@@ -5,7 +5,7 @@ import pytest
 from conftest import devices_at, hidden_star_positions, make_sim
 from lorapcsma.config import RunConfig
 from lorapcsma.gateway import TxRecord
-from lorapcsma.kernel import RngStreams
+from lorapcsma.kernel import RngStream
 from lorapcsma.mac import shall_it_pass
 
 SF8_TOA_US = 102_912
@@ -61,12 +61,12 @@ def test_persistence_table():
 
 
 def test_shall_it_pass_p1_always_true():
-    rng = RngStreams(3).stream("persistence")
+    rng = RngStream(3, "persistence")
     assert all(shall_it_pass(1.0, rng) for _ in range(1000))
 
 
 def test_shall_it_pass_rate_matches_p():
-    rng = RngStreams(3).stream("persistence")
+    rng = RngStream(3, "persistence")
     passes = sum(shall_it_pass(0.25, rng) for _ in range(100_000))
     assert abs(passes / 100_000 - 0.25) < 0.01
 

@@ -16,9 +16,8 @@ from conftest import overlapping_pairs
 from lorapcsma import cli, phy, sweep
 from lorapcsma.config import ConfigError, RunConfig, SweepGrid
 from lorapcsma.gateway import GatewayPhy, Outcome
-from lorapcsma.kernel import RngStreams
 from lorapcsma.metrics import compute_prr, write_csv, write_trace
-from lorapcsma.simulation import RunAudit, Simulation, build_topology, run_scenario
+from lorapcsma.simulation import RunAudit, Simulation, build_topology, run_scenario, topology_of
 from lorapcsma.sweep import aloha_validation, result_row, run_sweep
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -60,7 +59,7 @@ def test_synchronized_visible_pair_never_collides():
 def test_no_mutually_visible_overlap_and_hidden_collisions_only():
     cfg = RunConfig(n_devices=60, n_areas=3, sf_set=(8, 9, 10), p=0.5, seed=21)
     result = run_scenario(cfg)
-    vic = build_topology(cfg, RngStreams(cfg.seed)).vicinity
+    vic = build_topology(cfg).vicinity
     records = result.records
     for a, b in overlapping_pairs(records):
         i, j = records[a].device, records[b].device
@@ -112,6 +111,29 @@ def test_replays_are_byte_identical(cfg):
         write_trace(result.records, trace_out)
         outputs.append((csv_out.getvalue(), trace_out.getvalue()))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        RunConfig(n_devices=40, n_areas=2, sf_set=(8, 9, 10), period_set_s=(20.0,), p=0.25,
+                  shadowing_sigma_db=4.0, sim_time_s=600.0, seed=17),
+        RunConfig(n_devices=20, n_areas=2, mac="aloha", period_set_s=(20.0,),
+                  sim_time_s=600.0, seed=5),
+    ],
+    ids=["pcsma", "aloha"],
+)
+def test_build_topology_rebuilds_the_topology_of_a_run(cfg):
+    rebuilt = Simulation(cfg, build_topology(cfg)).run()
+    result = run_scenario(cfg)
+    assert rebuilt.counters == result.counters
+    traces = []
+    for run in (rebuilt, result):
+        buf = io.StringIO()
+        write_trace(run.records, buf)
+        traces.append(buf.getvalue())
+    assert traces[0] == traces[1]
+    assert result.counters.collided > 0  # the runs contend, so order matters
 
 
 def test_mean_prr_decreases_with_device_count():
@@ -284,10 +306,10 @@ def test_unlogged_run_memory_does_not_grow_with_time():
 
 def _init_peak_bytes(cfg: RunConfig) -> int:
     """Peak traced allocation while ``Simulation`` is built over ``cfg``'s topology."""
-    topo = build_topology(cfg, RngStreams(cfg.seed))
+    topo = build_topology(cfg)
     tracemalloc.start()
     try:
-        Simulation(cfg, topo.devices, topo.vicinity, prx_dbm=topo.prx_dbm, keep_records=False)
+        Simulation(cfg, topo, keep_records=False)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -345,7 +367,7 @@ def test_device_file_draws_shadowing(tmp_path):
     path.write_text("0 100 0 0 8 100 1.0\n1 200 0 0 8 100 1.0\n2 300 0 0 8 100 1.0\n")
     prx = {
         sigma: build_topology(
-            RunConfig(n_devices=3, device_file=str(path), shadowing_sigma_db=sigma), RngStreams(1)
+            RunConfig(n_devices=3, device_file=str(path), shadowing_sigma_db=sigma, seed=1)
         ).prx_dbm
         for sigma in (0.0, 12.0)
     }
@@ -669,4 +691,13 @@ def test_cli_sweep_reports_a_failed_channel_audit_in_a_worker(tmp_path, monkeypa
 
 def test_simulation_needs_at_least_one_device():
     with pytest.raises(ValueError, match="at least one device"):
-        Simulation(RunConfig(n_devices=1), [], [])
+        topology_of(RunConfig(n_devices=1), [])
+
+
+def test_topology_of_needs_one_offset_per_device():
+    from conftest import devices_at
+
+    devices = devices_at([(0.0, 0.0), (1.0, 0.0)])
+    for offsets_s in ([0.0], [0.0, 1.0, 2.0], []):
+        with pytest.raises(ValueError, match="one entry per device"):
+            topology_of(RunConfig(n_devices=2), devices, offsets_s=offsets_s)

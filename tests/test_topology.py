@@ -6,7 +6,7 @@ import pytest
 from conftest import device_areas
 from lorapcsma import phy, topology
 from lorapcsma.config import ConfigError
-from lorapcsma.kernel import RngStreams
+from lorapcsma.kernel import RngStream
 from lorapcsma.topology import (
     ClusterGeometry,
     GeometryError,
@@ -40,7 +40,7 @@ def test_cluster_sizes():
 
 def test_place_clusters_respects_geometry():
     geom = ClusterGeometry(n_areas=3, cluster_radius_m=100.0, ring_radius_m=4000.0)
-    rng = RngStreams(11).stream("placement")
+    rng = RngStream(11, "placement")
     positions = place_clusters(30, geom, rng)
     assert len(positions) == 30
     centers = geom.centers()
@@ -72,7 +72,7 @@ def test_mixed_sf_vicinity_can_be_asymmetric():
 
 
 def test_vicinity_is_a_pure_function_of_inputs():
-    rng = RngStreams(5).stream("placement")
+    rng = RngStream(5, "placement")
     geom = ClusterGeometry(n_areas=2, cluster_radius_m=150.0, ring_radius_m=4000.0)
     devices = assign_attributes(place_clusters(12, geom, rng), (8, 9), (100.0, 200.0), 0.5)
     first = build_vicinity(devices, LOSS, TABLE)
@@ -107,7 +107,7 @@ def test_row_blocks_match_the_full_distance_matrix(monkeypatch, block_cells):
 
 
 def test_single_cluster_uniform_sf_matrix_symmetric():
-    rng = RngStreams(6).stream("placement")
+    rng = RngStream(6, "placement")
     devices = assign_attributes(
         place_clusters(15, ClusterGeometry(n_areas=1), rng), (8,), (100.0,), 1.0
     )
@@ -119,7 +119,7 @@ def test_single_cluster_uniform_sf_matrix_symmetric():
 def test_hidden_areas_make_block_diagonal_matrix():
     geom = ClusterGeometry(n_areas=2, cluster_radius_m=150.0, ring_radius_m=4000.0)
     validate_geometry(geom, (8,), 14.0, LOSS, TABLE)
-    rng = RngStreams(9).stream("placement")
+    rng = RngStream(9, "placement")
     devices = assign_attributes(place_clusters(10, geom, rng), (8,), (100.0,), 1.0)
     matrix = build_vicinity(devices, LOSS, TABLE)
     areas = device_areas(10, 2)

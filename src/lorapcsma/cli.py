@@ -74,9 +74,11 @@ def _cmd_run(args) -> int:
         + (f"{prr_sent:.6f}" if prr_sent is not None else "undefined")
     )
     if args.out:
-        write_csv([row], args.out)
+        with open(args.out, "w") as out:
+            write_csv([row], out)
     if args.trace:
-        write_trace(result.records, args.trace)
+        with open(args.trace, "w") as out:
+            write_trace(result.records, out)
     return 0
 
 
@@ -86,7 +88,8 @@ def _cmd_sweep(args) -> int:
         cfg = replace(cfg, mac=args.mode)
     grid = load_grid(args.grid)
     rows = run_sweep(cfg, grid)
-    write_csv(rows, args.out)
+    with open(args.out, "w") as out:
+        write_csv(rows, out)
     n_runs = sum(1 for row in rows if isinstance(row["seed"], int))
     print(f"{n_runs} runs -> {args.out}")
     return 0
@@ -101,15 +104,11 @@ def _cmd_validate_aloha(args) -> int:
         raise ConfigError("--g needs at least one offered-load value")
     if not phy.SF_MIN <= args.sf <= phy.SF_MAX:
         raise ConfigError(f"--sf must be in {phy.SF_MIN}..{phy.SF_MAX}, got {args.sf}")
-    toa_s = phy.time_on_air(args.sf, phy.RadioParams())
     cfg = RunConfig(
-        n_devices=args.devices,
-        sim_time_s=args.packet_times * toa_s,
-        mac="aloha",
-        traffic="poisson",
-        sf_set=(args.sf,),
-        seed=args.seed,
+        n_devices=args.devices, mac="aloha", traffic="poisson", sf_set=(args.sf,), seed=args.seed
     )
+    toa_s = phy.time_on_air(args.sf, cfg.radio_params())
+    cfg = replace(cfg, sim_time_s=args.packet_times * toa_s)
     rows = aloha_validation(g_values, cfg)
     text = aloha_csv_text(rows)
     print(text, end="")

@@ -49,10 +49,6 @@ class PcsmaMac:
     ) -> None:
         devices = topo.devices
         n = len(devices)
-        persistence = [float(d.persistence) for d in devices]
-        for device, p in enumerate(persistence):
-            if not 0.0 < p <= 1.0:
-                raise ValueError(f"persistence for device {device} must be in (0, 1], got {p}")
         radio = cfg.radio_params()
         sfs = {d.sf for d in devices}
         toa_us = {sf: us_from_s(phy.time_on_air(sf, radio)) for sf in sfs}
@@ -60,6 +56,18 @@ class PcsmaMac:
             sense_us = {sf: us_from_s(phy.sensing_interval_s(sf, radio)) for sf in sfs}
         else:
             sense_us = dict.fromkeys(sfs, us_from_s(cfg.sensing_interval_s))
+        persistence = [float(d.persistence) for d in devices]
+        self.sense_us = [sense_us[d.sf] for d in devices]
+        self.period_us = [us_from_s(d.period_s) for d in devices]
+        # The run gate: every run passes here, and a duration that rounds to
+        # 0 us would reschedule at the same tick forever.
+        for device, p in enumerate(persistence):
+            if not 0.0 < p <= 1.0:
+                raise ValueError(f"persistence for device {device} must be in (0, 1], got {p}")
+            if self.period_us[device] < 1:
+                raise ValueError(f"period for device {device} must be at least 1 us")
+            if self.sense_us[device] < 1:
+                raise ValueError(f"sensing interval for device {device} must be at least 1 us")
         self.sched = sched
         self.gateway = gateway
         self.on_air = gateway.on_air  # the gateway's map itself, not a copy
@@ -72,8 +80,6 @@ class PcsmaMac:
         self.sf = [d.sf for d in devices]
         self.prx_dbm = topo.prx_dbm
         self.toa_us = [toa_us[d.sf] for d in devices]
-        self.sense_us = [sense_us[d.sf] for d in devices]
-        self.period_us = [us_from_s(d.period_s) for d in devices]
         self.periodic = cfg.traffic == "periodic"
         self.aloha = cfg.mac == "aloha"
         self.duty_cycle_enforce = cfg.duty_cycle_enforce

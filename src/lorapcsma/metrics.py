@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
-from pathlib import Path
+from typing import TextIO
 
 RESULT_COLUMNS = [
     "scenario",
@@ -78,20 +77,16 @@ def _row_sort_key(row: dict):
     return (str(row["scenario"]), 1, 0, seed)  # summary rows after the runs
 
 
-def write_csv(rows: list[dict], destination) -> None:
+def write_csv(rows: list[dict], out: TextIO) -> None:
     """Result CSV: fixed columns, reals with 6 decimals, rows sorted by
     (scenario, seed) with summary rows after each scenario's runs."""
-    ordered = sorted(rows, key=_row_sort_key)
-    out = destination if hasattr(destination, "write") else io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(RESULT_COLUMNS)
-    for row in ordered:
+    for row in sorted(rows, key=_row_sort_key):
         writer.writerow([_fmt(row.get(col)) for col in RESULT_COLUMNS])
-    if not hasattr(destination, "write"):
-        Path(destination).write_text(out.getvalue())
 
 
-def write_trace(records, destination) -> None:
+def write_trace(records, out: TextIO) -> None:
     """Tab-separated transmission log, one record per started transmission.
 
     Packets still on air when the clock stops carry the outcome ``pending``.
@@ -111,8 +106,4 @@ def write_trace(records, destination) -> None:
                 )
             )
         )
-    text = "\n".join(lines) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        Path(destination).write_text(text)
+    out.write("\n".join(lines) + "\n")

@@ -152,9 +152,9 @@ def _run_all(points: list[RunConfig]) -> list[Counters]:
 def run_sweep(base_cfg: RunConfig, grid: SweepGrid) -> list[dict]:
     """Cartesian product of grid cells x seeds, one independent run each.
 
-    The grid and every run are validated before the first run.  Appends a
-    mean and a population-stddev summary row of prr_generated per cell
-    (seed column ``mean``/``stddev``).
+    The grid, the cell names and every run are validated before the first
+    run.  Appends a mean and a population-stddev summary row of
+    prr_generated per cell (seed column ``mean``/``stddev``).
     """
     grid.validate()
     if base_cfg.device_file is not None and grid != SweepGrid(seeds=grid.seeds):
@@ -165,16 +165,17 @@ def run_sweep(base_cfg: RunConfig, grid: SweepGrid) -> list[dict]:
     p_values = grid.p_values or (base_cfg.p,)
     sf_sets = grid.sf_sets or (base_cfg.sf_set,)
     n_areas_values = grid.n_areas_values or (base_cfg.n_areas,)
-    cells = [
-        replace(base_cfg, n_devices=n_devices, sf_set=sf_set, p=p, n_areas=n_areas)
-        for n_devices, sf_set, p, n_areas in product(
-            device_counts, sf_sets, p_values, n_areas_values
-        )
-    ]
-    counters = iter(_run_all([replace(cell, seed=s) for cell in cells for s in grid.seeds]))
+    cells: dict[str, RunConfig] = {}
+    for n_devices, sf_set, p, n_areas in product(device_counts, sf_sets, p_values, n_areas_values):
+        name = scenario_name(n_devices, sf_set, p, n_areas)
+        # Only p is rounded in a name; two cells of one name give rows that
+        # cannot be told apart.
+        if name in cells:
+            raise ConfigError(f"p_values {p_values} give two cells the name {name!r}")
+        cells[name] = replace(base_cfg, n_devices=n_devices, sf_set=sf_set, p=p, n_areas=n_areas)
+    counters = iter(_run_all([replace(c, seed=s) for c in cells.values() for s in grid.seeds]))
     rows: list[dict] = []
-    for cfg in cells:
-        name = scenario_name(cfg.n_devices, cfg.sf_set, cfg.p, cfg.n_areas)
+    for name, cfg in cells.items():
         prrs = []
         for seed in grid.seeds:
             row = result_row(name, seed, cfg, next(counters))

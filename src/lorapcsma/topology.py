@@ -118,8 +118,6 @@ def place_clusters(
     n_devices: int, geom: ClusterGeometry, rng: RngStream
 ) -> list[tuple[float, float, float]]:
     """Positions for ``n_devices`` split across the clusters, uniform in each disc."""
-    if n_devices < 1:
-        raise GeometryError("n_devices must be >= 1")
     positions = []
     centers = geom.centers()
     for size, (cx, cy) in zip(cluster_sizes(n_devices, geom.n_areas), centers):
@@ -151,9 +149,6 @@ def assign_attributes(
         if len(p_policy) != n:
             raise ValueError(f"per-device p list has {len(p_policy)} entries for {n} devices")
         p_values = [float(p) for p in p_policy]
-    for p in p_values:
-        if not 0.0 < p <= 1.0:
-            raise ValueError(f"persistence must be in (0, 1], got {p}")
     return [
         DeviceSpec(
             id=i,

@@ -33,11 +33,15 @@ def test_comments_blank_lines_and_lists():
         p = 0.25
         n_areas = 3
         mac = aloha
+        crc = off
+        explicit_header = no
+        duty_cycle_enforce = yes
         """
     )
     assert cfg.sf_set == (8, 9, 10)
     assert cfg.p == 0.25
     assert cfg.mac == "aloha"
+    assert (cfg.crc, cfg.explicit_header, cfg.duty_cycle_enforce) == (False, False, True)
 
 
 def test_missing_n_devices_is_an_error():
@@ -87,6 +91,7 @@ def test_duplicate_key_rejected():
         ("n_devices = 10\ncluster_radius_m = nan\n", "cluster_radius_m"),
         ("n_devices = 10\nshadowing_sigma_db = nan\n", "shadowing_sigma_db"),
         ("n_devices = 10\nseed = -3\n", "seed must be >= 0"),
+        ("n_devices = 10\ncrc = maybe\n", "line 2: crc: expected true/false, got 'maybe'"),
     ],
 )
 def test_invalid_values_are_named_errors(doc, match):

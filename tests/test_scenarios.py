@@ -10,15 +10,17 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from conftest import overlapping_pairs
+from conftest import devices_at, overlapping_pairs
 from lorapcsma import cli, phy, sweep
 from lorapcsma.config import ConfigError, RunConfig, SweepGrid
 from lorapcsma.gateway import GatewayPhy, Outcome
 from lorapcsma.metrics import compute_prr, write_csv, write_trace
 from lorapcsma.simulation import RunAudit, Simulation, build_topology, run_scenario, topology_of
 from lorapcsma.sweep import aloha_validation, result_row, run_sweep
+from lorapcsma.topology import Topology
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -215,6 +217,11 @@ def _three_device_file_config(tmp_path, sim_time_s: float) -> RunConfig:
             lambda from_file: run_sweep(SMALL, SweepGrid(device_counts=(20, 20))),
             "device_counts must not contain duplicates",
             id="repeated-cell",
+        ),
+        pytest.param(
+            lambda from_file: run_sweep(SMALL, SweepGrid(p_values=(0.1234561, 0.1234562))),
+            r"p_values .* give two cells the name 'n2_sf8_p0\.123456_a1'",
+            id="p-values-sharing-a-name",
         ),
         pytest.param(
             lambda from_file: aloha_validation(
@@ -486,9 +493,12 @@ def test_cli_sweep(tmp_path):
     grid = tmp_path / "grid.cfg"
     grid.write_text("device_counts = {2,3}\nseeds = {1,2}\n")
     out = tmp_path / "sweep.csv"
-    assert cli.main(["sweep", "--config", str(config), "--grid", str(grid), "--out", str(out)]) == 0
-    lines = out.read_text().splitlines()
-    assert len(lines) == 1 + 4 + 4  # header, 4 runs, mean+stddev per cell
+    argv = ["sweep", "--config", str(config), "--grid", str(grid), "--out", str(out)]
+    for extra, mac in (([], "pcsma"), (["--mode", "aloha"], "aloha")):
+        assert cli.main(argv + extra) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 1 + 4 + 4  # header, 4 runs, mean+stddev per cell
+        assert all(line.split(",")[2] == mac for line in lines[1:])
 
 
 def test_cli_validate_aloha(tmp_path, capsys):
@@ -692,6 +702,76 @@ def test_cli_sweep_reports_a_failed_channel_audit_in_a_worker(tmp_path, monkeypa
 def test_simulation_needs_at_least_one_device():
     with pytest.raises(ValueError, match="at least one device"):
         topology_of(RunConfig(n_devices=1), [])
+    with pytest.raises(ValueError, match="at least one device"):
+        build_topology(RunConfig(n_devices=0))  # placement yields no devices
+
+
+def _devices(**attributes):
+    return devices_at([(0.0, 0.0), (1.0, 0.0)], **attributes)
+
+
+def _hand_made_topology(**attributes):
+    return Topology(_devices(**attributes), ~np.eye(2, dtype=bool), [-80.0, -80.0])
+
+
+TOO_SHORT_S = 1e-9  # rounds to 0 us: the event would reschedule at t = 0 forever
+
+
+@pytest.mark.parametrize(
+    "start,match",
+    [
+        pytest.param(
+            lambda cfg: Simulation(cfg, build_topology(replace(cfg, period_set_s=(TOO_SHORT_S,)))),
+            "period for device 0",
+            id="build_topology-period",
+        ),
+        pytest.param(
+            lambda cfg: Simulation(
+                replace(cfg, sensing_interval_s=TOO_SHORT_S), build_topology(cfg)
+            ),
+            "sensing interval for device 0",
+            id="build_topology-sensing",
+        ),
+        pytest.param(
+            lambda cfg: Simulation(cfg, build_topology(replace(cfg, p=0.0))),
+            "persistence for device 0",
+            id="build_topology-p",
+        ),
+        pytest.param(
+            lambda cfg: Simulation(cfg, topology_of(cfg, _devices(period_s=TOO_SHORT_S))),
+            "period for device 0",
+            id="topology_of-period",
+        ),
+        pytest.param(
+            lambda cfg: Simulation(
+                replace(cfg, sensing_interval_s=TOO_SHORT_S), topology_of(cfg, _devices())
+            ),
+            "sensing interval for device 0",
+            id="topology_of-sensing",
+        ),
+        pytest.param(
+            lambda cfg: Simulation(cfg, _hand_made_topology(period_s=TOO_SHORT_S)),
+            "period for device 0",
+            id="Topology-period",
+        ),
+        pytest.param(
+            lambda cfg: Simulation(
+                replace(cfg, sensing_interval_s=TOO_SHORT_S), _hand_made_topology()
+            ),
+            "sensing interval for device 0",
+            id="Topology-sensing",
+        ),
+        pytest.param(
+            lambda cfg: Simulation(cfg, _hand_made_topology(p=1.5)),
+            "persistence for device 0",
+            id="Topology-p",
+        ),
+    ],
+)
+def test_simulation_refuses_a_device_its_event_loop_cannot_finish(start, match):
+    cfg = RunConfig(n_devices=2, sim_time_s=50.0, period_set_s=(10.0,))
+    with pytest.raises(ValueError, match=match):
+        start(cfg)
 
 
 def test_topology_of_needs_one_offset_per_device():

@@ -142,9 +142,8 @@ def test_assign_attributes_round_robin():
 
 
 def test_assign_attributes_rejects_bad_p():
+    # A p outside (0, 1] is refused by the run gate (Simulation), not here.
     positions = [(0.0, 0.0, 0.0)]
-    with pytest.raises(ValueError):
-        assign_attributes(positions, (8,), (100.0,), 0.0)
     with pytest.raises(ValueError):
         assign_attributes(positions, (8,), (100.0,), [0.5, 0.5])  # wrong length
 

@@ -50,11 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    if args.mode:
-        cfg = replace(cfg, mac=args.mode)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    overrides = {"mac": args.mode, "seed": args.seed}
+    cfg = replace(load_config(args.config), **{k: v for k, v in overrides.items() if v is not None})
     result = run_scenario(cfg, keep_records=bool(args.trace))
     scenario = Path(args.config).stem
     row = result_row(scenario, cfg.seed, cfg, result.counters)

@@ -8,7 +8,7 @@ back to defaults.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import phy
@@ -24,8 +24,10 @@ _CHOICES = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """One run's scenario; immutable, and checked whenever built (``replace`` too)."""
+
     n_devices: int = 0
     sim_time_s: float = 3600.0
     mac: str = "pcsma"
@@ -57,6 +59,9 @@ class RunConfig:
     offered_load: float = 1.0  # Poisson G, packets per packet-time
     duty_cycle_enforce: bool = False
     device_file: str | None = None
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def radio_params(self) -> phy.RadioParams:
         lowdr = {"auto": None, "on": True, "off": False}[self.low_data_rate_optimize]
@@ -139,14 +144,21 @@ class RunConfig:
             raise ConfigError("gateway_paths must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.sensing_interval_s is not None and us_from_s(self.sensing_interval_s) < 1:
-            raise ConfigError("sensing_interval_s must be at least 1 us (or auto)")
         if self.shadowing_sigma_db < 0:
             raise ConfigError("shadowing_sigma_db must be >= 0")
         try:
-            self.radio_params()
+            radio = self.radio_params()
         except ValueError as exc:
             raise ConfigError(f"radio parameters: {exc}") from None
+        for sf in self.sf_set:
+            interval_s = self.sensing_interval_s
+            if interval_s is None:
+                interval_s = phy.sensing_interval_s(sf, radio)
+            if us_from_s(interval_s) < 1:
+                raise ConfigError(
+                    f"sensing_interval_s gives {interval_s:.3g} s at SF{sf}, below 1 us "
+                    "(auto is half the airtime)"
+                )
         if self.traffic == "poisson":
             if self.offered_load <= 0:
                 raise ConfigError("offered_load must be positive for poisson traffic")
@@ -167,15 +179,18 @@ class RunConfig:
             validate_geometry(self.geometry(), self.sf_set, self.tx_power_dbm, loss, table)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepGrid:
-    """Sweep dimensions; any missing dimension falls back to the base config."""
+    """Sweep dimensions, checked when built; a missing one falls back to the base config."""
 
     device_counts: tuple[int, ...] | None = None
     p_values: tuple[float, ...] | None = None
     sf_sets: tuple[tuple[int, ...], ...] | None = None
     n_areas_values: tuple[int, ...] | None = None
     seeds: tuple[int, ...] = (1,)
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         # An empty list would fall back to the base config unnoticed, and a
@@ -292,14 +307,14 @@ _PARSERS = {
 }
 
 
-def _assign(text: str, target, kind: str):
-    """Apply each ``key = value`` line of ``text`` to a copy of ``target``,
-    parsing each value by its field's annotation.
+def _assign(text: str, cls, kind: str):
+    """Build ``cls`` from the ``key = value`` lines of ``text``, parsing each
+    value by its field's annotation; keys left out keep their defaults.
 
     ``kind`` names the document's keys in errors ("key" or "grid key").
     """
-    parsers = _PARSERS[type(target)]
-    seen = set()
+    parsers = _PARSERS[cls]
+    values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -309,18 +324,15 @@ def _assign(text: str, target, kind: str):
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in parsers:
             raise ConfigError(f"line {lineno}: unknown {kind} {key!r}")
-        if key in seen:
+        if key in values:
             raise ConfigError(f"line {lineno}: duplicate {kind} {key!r}")
-        seen.add(key)
-        target = replace(target, **{key: parsers[key](value, key, lineno)})
-    return target
+        values[key] = parsers[key](value, key, lineno)
+    return cls(**values)
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a scenario document; all defaults applied."""
-    cfg = _assign(text, RunConfig(), "key")
-    cfg.validate()
-    return cfg
+    return _assign(text, RunConfig, "key")
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -328,9 +340,7 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def parse_grid(text: str) -> SweepGrid:
-    grid = _assign(text, SweepGrid(), "grid key")
-    grid.validate()
-    return grid
+    return _assign(text, SweepGrid, "grid key")
 
 
 def load_grid(path: str | Path) -> SweepGrid:

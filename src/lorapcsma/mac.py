@@ -20,6 +20,8 @@ nothing on air.  So a vicinity row's own (diagonal) entry is never read.
 
 from __future__ import annotations
 
+import math
+
 from . import phy
 from .config import RunConfig
 from .gateway import GatewayPhy, TxRecord
@@ -58,16 +60,18 @@ class PcsmaMac:
             sense_us = dict.fromkeys(sfs, us_from_s(cfg.sensing_interval_s))
         persistence = [float(d.persistence) for d in devices]
         self.sense_us = [sense_us[d.sf] for d in devices]
-        self.period_us = [us_from_s(d.period_s) for d in devices]
         # The run gate: every run passes here, and a duration that rounds to
         # 0 us would reschedule at the same tick forever.
-        for device, p in enumerate(persistence):
+        for device, (p, dev) in enumerate(zip(persistence, devices)):
             if not 0.0 < p <= 1.0:
                 raise ValueError(f"persistence for device {device} must be in (0, 1], got {p}")
-            if self.period_us[device] < 1:
-                raise ValueError(f"period for device {device} must be at least 1 us")
+            if not math.isfinite(dev.period_s) or us_from_s(dev.period_s) < 1:
+                raise ValueError(
+                    f"period for device {device} must be finite and >= 1 us, got {dev.period_s}"
+                )
             if self.sense_us[device] < 1:
                 raise ValueError(f"sensing interval for device {device} must be at least 1 us")
+        self.period_us = [us_from_s(d.period_s) for d in devices]
         self.sched = sched
         self.gateway = gateway
         self.on_air = gateway.on_air  # the gateway's map itself, not a copy

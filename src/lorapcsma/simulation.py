@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import phy, topology
+from . import topology
 from .config import ConfigError, RunConfig
 from .gateway import GatewayPhy, TxRecord
 from .kernel import RngStream, Scheduler, us_from_s
@@ -69,9 +69,8 @@ def build_topology(cfg: RunConfig) -> topology.Topology:
                 f"n_devices={cfg.n_devices} but {cfg.device_file!r} defines {len(devices)} devices"
             )
     else:
-        geom = cfg.geometry()  # checked by cfg.validate()
         rng = RngStream(cfg.seed, STREAM_PLACEMENT)
-        positions = topology.place_clusters(cfg.n_devices, geom, rng)
+        positions = topology.place_clusters(cfg.n_devices, cfg.geometry(), rng)
         devices = topology.assign_attributes(
             positions, cfg.sf_set, cfg.period_set_s, cfg.p, cfg.tx_power_dbm
         )
@@ -79,18 +78,7 @@ def build_topology(cfg: RunConfig) -> topology.Topology:
         shadow_rng = RngStream(cfg.seed, STREAM_SHADOWING)
         for dev in devices:
             dev.shadow_db = shadow_rng.normal(cfg.shadowing_sigma_db)
-    topo = topology_of(cfg, devices)
-    # A device file may list devices out of coverage; generated placement
-    # without shadowing promises coverage.
-    if cfg.device_file is None and cfg.shadowing_sigma_db == 0:
-        table = cfg.sensitivity_table()
-        for dev, rx in zip(devices, topo.prx_dbm):
-            if rx < table.threshold_dbm(dev.sf, phy.GATEWAY):
-                raise topology.GeometryError(
-                    f"device {dev.id} (SF{dev.sf}) is below gateway sensitivity "
-                    f"({rx:.1f} dBm); geometry leaves it out of coverage"
-                )
-    return topo
+    return topology_of(cfg, devices)
 
 
 class Simulation:
@@ -179,5 +167,4 @@ def run_scenario(cfg: RunConfig, *, keep_records: bool = True) -> RunResult:
 
     ``keep_records=False`` leaves ``result.records`` at None.
     """
-    cfg.validate()
     return Simulation(cfg, build_topology(cfg), keep_records=keep_records).run()

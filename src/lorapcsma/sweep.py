@@ -106,8 +106,7 @@ def _fork_worker(points: list[RunConfig]) -> tuple[int, BinaryIO]:
 
 
 def _run_all(points: list[RunConfig]) -> list[Counters]:
-    """Validate every point, then run each without its transmission log:
-    a bad point fails the whole list before the first run.
+    """Run each point without its transmission log.
 
     The runs are split over the CPUs in the affinity mask, at most one
     worker per point: worker k runs ``points[k::n]``, worker 0 in this
@@ -115,8 +114,6 @@ def _run_all(points: list[RunConfig]) -> list[Counters]:
     in point order, so the result does not depend on the number of workers.
     If anything raises here, every child still running is killed and every
     child is reaped before the error propagates."""
-    for point in points:
-        point.validate()
     n = max(1, min(_cpu_count(), len(points)))
     workers: list[tuple[int, BinaryIO]] = []  # children not yet reaped
     try:
@@ -152,11 +149,10 @@ def _run_all(points: list[RunConfig]) -> list[Counters]:
 def run_sweep(base_cfg: RunConfig, grid: SweepGrid) -> list[dict]:
     """Cartesian product of grid cells x seeds, one independent run each.
 
-    The grid, the cell names and every run are validated before the first
-    run.  Appends a mean and a population-stddev summary row of
+    Every run's config and cell name is built, and so checked, before the
+    first run.  Appends a mean and a population-stddev summary row of
     prr_generated per cell (seed column ``mean``/``stddev``).
     """
-    grid.validate()
     if base_cfg.device_file is not None and grid != SweepGrid(seeds=grid.seeds):
         raise ConfigError(
             f"device_file {base_cfg.device_file!r} fixes the devices: a sweep may vary only seeds"
@@ -165,20 +161,23 @@ def run_sweep(base_cfg: RunConfig, grid: SweepGrid) -> list[dict]:
     p_values = grid.p_values or (base_cfg.p,)
     sf_sets = grid.sf_sets or (base_cfg.sf_set,)
     n_areas_values = grid.n_areas_values or (base_cfg.n_areas,)
-    cells: dict[str, RunConfig] = {}
+    cells: dict[str, list[RunConfig]] = {}  # name -> one point per seed
     for n_devices, sf_set, p, n_areas in product(device_counts, sf_sets, p_values, n_areas_values):
         name = scenario_name(n_devices, sf_set, p, n_areas)
         # Only p is rounded in a name; two cells of one name give rows that
         # cannot be told apart.
         if name in cells:
             raise ConfigError(f"p_values {p_values} give two cells the name {name!r}")
-        cells[name] = replace(base_cfg, n_devices=n_devices, sf_set=sf_set, p=p, n_areas=n_areas)
-    counters = iter(_run_all([replace(c, seed=s) for c in cells.values() for s in grid.seeds]))
+        cells[name] = [
+            replace(base_cfg, n_devices=n_devices, sf_set=sf_set, p=p, n_areas=n_areas, seed=seed)
+            for seed in grid.seeds
+        ]
+    counters = iter(_run_all([point for points in cells.values() for point in points]))
     rows: list[dict] = []
-    for name, cfg in cells.items():
+    for name, points in cells.items():
         prrs = []
-        for seed in grid.seeds:
-            row = result_row(name, seed, cfg, next(counters))
+        for point in points:
+            row = result_row(name, point.seed, point, next(counters))
             rows.append(row)
             if row["prr_generated"] is not None:
                 prrs.append(row["prr_generated"])
@@ -186,7 +185,7 @@ def run_sweep(base_cfg: RunConfig, grid: SweepGrid) -> list[dict]:
             ("mean", statistics.mean(prrs) if prrs else None),
             ("stddev", statistics.pstdev(prrs) if prrs else None),
         ):
-            rows.append({**_cell_row(name, label, cfg), "prr_generated": value})
+            rows.append({**_cell_row(name, label, points[0]), "prr_generated": value})
     return rows
 
 

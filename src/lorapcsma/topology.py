@@ -83,14 +83,12 @@ def validate_geometry(
     """Check that clusters are mutually hidden yet gateway-covered.
 
     Mutual hiding uses the largest end-device detect range across the
-    assigned SFs; coverage uses the smallest gateway detect range, so any
-    round-robin SF assignment is safe.
+    assigned SFs.  Coverage applies the gateway's own test to the farthest
+    possible member at the least sensitive assigned SF, so any round-robin
+    SF assignment is covered.
     """
     max_device_range = max(
         phy.detect_range_m(sf, phy.END_DEVICE, tx_power_dbm, loss, table) for sf in sf_set
-    )
-    min_gateway_range = min(
-        phy.detect_range_m(sf, phy.GATEWAY, tx_power_dbm, loss, table) for sf in sf_set
     )
     if geom.n_areas == 1:
         max_gw_dist = geom.cluster_radius_m
@@ -106,11 +104,13 @@ def validate_geometry(
                 f"exceed the maximum end-device detect range {max_device_range:.1f} m; "
                 "increase ring_radius_m or decrease cluster_radius_m"
             )
-    if max_gw_dist > min_gateway_range:
+    prx_dbm = phy.received_power_dbm(tx_power_dbm, max_gw_dist, loss)
+    threshold_dbm, sf = max((table.threshold_dbm(sf, phy.GATEWAY), sf) for sf in sf_set)
+    if prx_dbm < threshold_dbm:
         raise GeometryError(
-            f"cluster members may sit up to {max_gw_dist:.1f} m from the gateway, beyond "
-            f"the smallest gateway detect range {min_gateway_range:.1f} m for SFs {sf_set}; "
-            "shrink ring_radius_m or cluster_radius_m"
+            f"cluster members may sit up to {max_gw_dist:.1f} m from the gateway and arrive at "
+            f"{prx_dbm:.1f} dBm, below the SF{sf} gateway sensitivity {threshold_dbm:.1f} dBm; "
+            "shrink ring_radius_m or cluster_radius_m, or raise tx_power_dbm"
         )
 
 

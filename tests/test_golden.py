@@ -78,7 +78,8 @@ def test_dense_pcsma_trace_matches_golden_digest():
     # One area, low persistence: most generations sense busy and poll in back-off.
     cfg = RunConfig(n_devices=200, n_areas=1, p=0.1, period_set_s=(60.0,), sim_time_s=300.0, seed=3)
     result = run_scenario(cfg)
-    assert result.audit.events_executed - 2 * result.counters.sent > 500  # back-off polls
+    c = result.counters
+    assert result.audit.events_executed - c.generated - c.sent > 500  # back-off polls
     assert _sha256(write_trace, result.records) == DENSE_PCSMA_TRACE_SHA256
 
 

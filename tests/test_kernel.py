@@ -34,20 +34,20 @@ def test_scheduling_at_current_time_is_allowed():
 
 
 def test_large_random_schedule_executes_in_time_seq_order():
-    # Oracle: a stable sort of the schedule log by (time, insertion index).
-    rng = np.random.default_rng(42)
-    times = rng.integers(0, 50_000, size=1_000_000)
+    # Oracle: a stable sort of the schedule log by fire time, so ties keep
+    # insertion order.  ~20 events per us make nearly every event a tie, and
+    # the payloads count down, so a queue that broke ties by payload rather
+    # than by insertion would run them in reverse.
+    n = 100_000
+    horizon_us = n // 20
+    times = np.random.default_rng(42).integers(0, horizon_us, size=n).tolist()
+    scheduled = list(zip(times, range(n, 0, -1)))
     sched = Scheduler()
     executed = []
-    scheduled = []
-    for t in times:
-        t = int(t)
-        sched.schedule(t, executed.append, (t, len(scheduled)))
-        scheduled.append((t, len(scheduled)))
-    sched.run_until(50_000)
-    assert executed == sorted(scheduled)
-    # clock never decreased
-    assert all(a[0] <= b[0] for a, b in zip(executed, executed[1:]))
+    for entry in scheduled:
+        sched.schedule(entry[0], executed.append, entry)
+    sched.run_until(horizon_us)
+    assert executed == sorted(scheduled, key=lambda entry: entry[0])
 
 
 def test_run_until_boundaries():

@@ -5,7 +5,7 @@ import io
 
 import numpy as np
 
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import devices_at
@@ -25,7 +25,7 @@ def run_configs(draw):
     # Poisson traffic needs one packet-time, so a single SF.
     max_sfs = 1 if traffic == "poisson" else 3
     sf_set = draw(st.lists(st.integers(7, 12), min_size=1, max_size=max_sfs, unique=True))
-    return RunConfig(
+    fields = dict(
         n_devices=n,
         sim_time_s=draw(st.floats(10.0, 300.0)),
         mac=draw(st.sampled_from(("pcsma", "aloha"))),
@@ -42,6 +42,10 @@ def run_configs(draw):
         duty_cycle_enforce=draw(st.booleans()),
         seed=draw(st.integers(0, 2**31)),
     )
+    try:
+        return RunConfig(**fields)
+    except ConfigError:
+        reject()  # a draw that cannot be built is no config
 
 
 def _trace(result) -> str:
@@ -53,10 +57,7 @@ def _trace(result) -> str:
 @settings(max_examples=50, deadline=None)
 @given(run_configs())
 def test_accepted_configs_terminate_conserve_and_replay(cfg):
-    try:
-        result = run_scenario(cfg)
-    except ConfigError:
-        return
+    result = run_scenario(cfg)
     c, audit = result.counters, result.audit
     c.check()
     assert audit.channel_clear and audit.book_count == audit.free_count

@@ -243,6 +243,22 @@ def _three_device_file_config(tmp_path, sim_time_s: float) -> RunConfig:
             "fixes the devices",
             id="device-file-counts",
         ),
+        # An SF12 cell that runs, then an SF7 cell that cannot.
+        pytest.param(
+            lambda from_file: run_sweep(
+                replace(SMALL, sf_set=(12,), tx_power_dbm=-125.0, cluster_radius_m=0.5),
+                SweepGrid(sf_sets=((12,), (7,))),
+            ),
+            "below the SF7 gateway sensitivity",
+            id="negative-link-budget-cell",
+        ),
+        pytest.param(
+            lambda from_file: run_sweep(
+                replace(SMALL, sf_set=(12,), bandwidth_hz=1e10), SweepGrid(sf_sets=((12,), (7,)))
+            ),
+            "sensing_interval_s gives .* at SF7, below 1 us",
+            id="auto-sensing-below-1us-cell",
+        ),
     ],
 )
 def test_no_run_starts_before_a_bad_point(tmp_path, monkeypatch, start, match):
@@ -256,6 +272,22 @@ def test_no_run_starts_before_a_bad_point(tmp_path, monkeypatch, start, match):
     with pytest.raises(ConfigError, match=match):
         start(_three_device_file_config(tmp_path, sim_time_s=50.0))
     assert runs == []
+
+
+def test_a_sweep_checks_each_point_once(monkeypatch):
+    base = RunConfig(n_devices=2, sim_time_s=50.0, period_set_s=(10.0,))
+    calls = []
+    validate = RunConfig.validate
+
+    def counting_validate(cfg):
+        calls.append(cfg)
+        validate(cfg)
+
+    monkeypatch.setattr(RunConfig, "validate", counting_validate)
+    monkeypatch.setattr(sweep, "_cpu_count", lambda: 1)  # every run in this process
+    rows = run_sweep(base, SweepGrid(device_counts=(2, 3), seeds=(1, 2)))
+    points = [(row["n_devices"], row["seed"]) for row in rows if isinstance(row["seed"], int)]
+    assert [(cfg.n_devices, cfg.seed) for cfg in calls] == points == [(2, 1), (2, 2), (3, 1), (3, 2)]
 
 
 def test_device_file_sweep_may_vary_seeds(tmp_path):
@@ -487,6 +519,14 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_run_names_an_automatic_sensing_interval_below_1us(tmp_path, capsys):
+    config = tmp_path / "wide.cfg"
+    config.write_text("n_devices = 2\nsf_set = {7}\nbandwidth_hz = 1e10\n")
+    assert cli.main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "sensing_interval_s" in err and "SF7" in err and "Traceback" not in err
+
+
 def test_cli_sweep(tmp_path):
     config = tmp_path / "scenario.cfg"
     config.write_text("n_devices = 2\nsim_time_s = 50\nperiod_set_s = {10}\n")
@@ -702,8 +742,8 @@ def test_cli_sweep_reports_a_failed_channel_audit_in_a_worker(tmp_path, monkeypa
 def test_simulation_needs_at_least_one_device():
     with pytest.raises(ValueError, match="at least one device"):
         topology_of(RunConfig(n_devices=1), [])
-    with pytest.raises(ValueError, match="at least one device"):
-        build_topology(RunConfig(n_devices=0))  # placement yields no devices
+    with pytest.raises(ConfigError, match="n_devices"):
+        RunConfig(n_devices=0)  # placement would yield no devices
 
 
 def _devices(**attributes):
@@ -715,63 +755,100 @@ def _hand_made_topology(**attributes):
 
 
 TOO_SHORT_S = 1e-9  # rounds to 0 us: the event would reschedule at t = 0 forever
+# At this bandwidth the automatic sensing interval rounds to 0 us at SF7 but
+# not at SF12, so a config with sf_set = {12} is built, and only an SF7
+# device from outside its sf_set reaches the run gate with it.
+WIDE_SF12 = dict(bandwidth_hz=1e10, sf_set=(12,))
 
 
 @pytest.mark.parametrize(
-    "start,match",
+    "start,error,match",
     [
+        # A config that its runs could not finish is refused when it is built,
+        # before any topology or gate.
         pytest.param(
             lambda cfg: Simulation(cfg, build_topology(replace(cfg, period_set_s=(TOO_SHORT_S,)))),
-            "period for device 0",
+            ConfigError,
+            "period_set_s",
             id="build_topology-period",
         ),
         pytest.param(
             lambda cfg: Simulation(
                 replace(cfg, sensing_interval_s=TOO_SHORT_S), build_topology(cfg)
             ),
-            "sensing interval for device 0",
+            ConfigError,
+            "sensing_interval_s",
             id="build_topology-sensing",
         ),
         pytest.param(
             lambda cfg: Simulation(cfg, build_topology(replace(cfg, p=0.0))),
-            "persistence for device 0",
+            ConfigError,
+            r"p must be in \(0, 1\]",
             id="build_topology-p",
-        ),
-        pytest.param(
-            lambda cfg: Simulation(cfg, topology_of(cfg, _devices(period_s=TOO_SHORT_S))),
-            "period for device 0",
-            id="topology_of-period",
         ),
         pytest.param(
             lambda cfg: Simulation(
                 replace(cfg, sensing_interval_s=TOO_SHORT_S), topology_of(cfg, _devices())
             ),
-            "sensing interval for device 0",
+            ConfigError,
+            "sensing_interval_s",
             id="topology_of-sensing",
-        ),
-        pytest.param(
-            lambda cfg: Simulation(cfg, _hand_made_topology(period_s=TOO_SHORT_S)),
-            "period for device 0",
-            id="Topology-period",
         ),
         pytest.param(
             lambda cfg: Simulation(
                 replace(cfg, sensing_interval_s=TOO_SHORT_S), _hand_made_topology()
             ),
-            "sensing interval for device 0",
+            ConfigError,
+            "sensing_interval_s",
             id="Topology-sensing",
+        ),
+        # Devices the config does not describe reach the run gate.
+        pytest.param(
+            lambda cfg: Simulation(cfg, topology_of(cfg, _devices(period_s=TOO_SHORT_S))),
+            ValueError,
+            "period for device 0",
+            id="topology_of-period",
+        ),
+        pytest.param(
+            lambda cfg: Simulation(cfg, topology_of(cfg, _devices(period_s=float("nan")))),
+            ValueError,
+            "period for device 0 must be finite",
+            id="topology_of-period-nan",
+        ),
+        pytest.param(
+            lambda cfg: Simulation(cfg, topology_of(cfg, _devices(period_s=float("inf")))),
+            ValueError,
+            "period for device 0 must be finite",
+            id="topology_of-period-inf",
+        ),
+        pytest.param(
+            lambda cfg: Simulation(
+                replace(cfg, **WIDE_SF12), topology_of(cfg, _devices(sf=7))
+            ),
+            ValueError,
+            "sensing interval for device 0",
+            id="topology_of-sensing-sf-outside-sf_set",
+        ),
+        pytest.param(
+            lambda cfg: Simulation(cfg, _hand_made_topology(period_s=TOO_SHORT_S)),
+            ValueError,
+            "period for device 0",
+            id="Topology-period",
         ),
         pytest.param(
             lambda cfg: Simulation(cfg, _hand_made_topology(p=1.5)),
+            ValueError,
             "persistence for device 0",
             id="Topology-p",
         ),
     ],
 )
-def test_simulation_refuses_a_device_its_event_loop_cannot_finish(start, match):
+def test_simulation_refuses_a_device_its_event_loop_cannot_finish(start, error, match):
     cfg = RunConfig(n_devices=2, sim_time_s=50.0, period_set_s=(10.0,))
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(error, match=match) as refused:
         start(cfg)
+    # The run gate's refusals are no config errors: they name a device.
+    assert error is ConfigError or not isinstance(refused.value, ConfigError)
 
 
 def test_topology_of_needs_one_offset_per_device():

@@ -1,9 +1,9 @@
 """Discrete-event simulator of single-gateway LoRa networks.
 
-Implements a p-persistent CSMA MAC (channel sensing over a precomputed
-vicinity matrix, FIFO claiming, persistence-gated reclaiming) next to a
-pure-ALOHA baseline, and reproduces packet-reception-ratio experiments as
-parameter sweeps.
+Implements a p-persistent CSMA MAC (channel sensing by distance against each
+transmitter's detect range, FIFO claiming, persistence-gated reclaiming)
+next to a pure-ALOHA baseline, and reproduces packet-reception-ratio
+experiments as parameter sweeps.
 """
 
 from .config import RunConfig

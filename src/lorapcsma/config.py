@@ -24,6 +24,39 @@ _CHOICES = {
 }
 
 
+# What each scalar in a field annotation admits: a bool is no number here.
+_SCALAR_TYPES = {
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "None": lambda v: v is None,
+}
+
+
+def _admits(annotation: str, value) -> bool:
+    """Whether ``value`` matches a field annotation such as ``int``,
+    ``float | None`` or ``tuple[tuple[int, ...], ...]``; a tuple type
+    admits a tuple only, never a (mutable) list."""
+    for option in annotation.split(" | "):
+        if option.startswith("tuple["):
+            item = option[len("tuple[") : -len(", ...]")]
+            if isinstance(value, tuple) and all(_admits(item, v) for v in value):
+                return True
+        elif _SCALAR_TYPES[option](value):
+            return True
+    return False
+
+
+def _check_types(config) -> None:
+    """Refuse, naming the key, a field whose value its annotation does not
+    admit: say a float or a bool for an int, or a list for a tuple."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if not _admits(f.type, value):
+            raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One run's scenario; immutable, and checked whenever built (``replace`` too)."""
@@ -108,6 +141,7 @@ class RunConfig:
         return gap_s
 
     def validate(self) -> None:
+        _check_types(self)
         for f in fields(self):
             value = getattr(self, f.name)
             values = value if isinstance(value, tuple) else (value,)
@@ -193,6 +227,7 @@ class SweepGrid:
         self.validate()
 
     def validate(self) -> None:
+        _check_types(self)
         # An empty list would fall back to the base config unnoticed, and a
         # repeated value would count one run twice.
         for f in fields(self):

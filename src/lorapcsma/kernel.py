@@ -12,8 +12,6 @@ import hashlib
 from heapq import heappop, heappush
 from typing import Callable
 
-import numpy as np
-
 US_PER_S = 1_000_000
 
 
@@ -70,29 +68,92 @@ def _label_key(label: str) -> int:
     return int.from_bytes(hashlib.sha256(label.encode()).digest()[:8], "big")
 
 
-# Values drawn from the generator per refill of a stream's block.
+_MASK32 = (1 << 32) - 1
+_MASK53 = (1 << 53) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_TWO_COPIES = (1 << 64) + 1
+
+
+def _hasher(hash_const: int, mult: int):
+    """numpy's ``SeedSequence`` hashmix: every call advances the constant."""
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * mult & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x: int, y: int) -> int:
+    result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+    return result ^ result >> 16
+
+
+def _pcg64_seed(entropy: list[int]) -> tuple[int, int]:
+    """The 128-bit state and increment of numpy's
+    ``PCG64(SeedSequence(entropy))``.
+
+    A port of numpy's ``SeedSequence`` (pool of four 32-bit words) and of
+    the PCG64 seeding step; numpy's uniform draws serve as the test oracle.
+    """
+    words = []  # each entry as little-endian 32-bit words; 0 is one word
+    for value in entropy:
+        if value < 0:
+            raise ValueError(f"seed entropy must be >= 0, got {value}")
+        words.append(value & _MASK32)
+        while value := value >> 32:
+            words.append(value & _MASK32)
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # generate_state(4, uint64): eight 32-bit words, paired little-endian.
+    hashmix = _hasher(0x8B51F9DD, 0x58F38DED)
+    state_words = [hashmix(pool[i % 4]) for i in range(8)]
+    s0, s1, s2, s3 = (state_words[k] | state_words[k + 1] << 32 for k in range(0, 8, 2))
+    inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
+    # From state 0: one step (state = inc), add the seed, one more step.
+    state = inc + (s0 << 64 | s1)
+    return (state * _PCG64_MULT + inc) & _MASK128, inc
+
+
+# Values drawn from numpy's generator per refill of an exponential block.
 RNG_BLOCK = 256
 
 
 class RngStream:
     """One named, independently seeded random stream.
 
-    Backed by numpy's PCG64, a documented, seedable generator whose output
-    is fully specified, so (seed, stream_id, draw index) -> value holds
-    across platforms.  Distinct labels under the same seed give distinct
-    sequences.
+    The generator is PCG64 (XSL-RR output) seeded by ``SeedSequence([seed,
+    key(label)])``, exactly as numpy builds it, so (seed, label, draw
+    index) -> value holds across platforms.  Distinct labels under the same
+    seed give distinct sequences.
 
-    Uniform and exponential values are drawn in blocks of ``RNG_BLOCK`` and
-    served one by one; each equals the value a scalar draw would have
-    returned.  A stream serves one distribution only, since a second block
-    would take values out of the first one's order.
+    Uniform draws come from a pure-Python port of that generator, so a run
+    that draws only uniform values never imports numpy.  Exponential and
+    normal draws use numpy's ``Generator`` over the same seeding, imported
+    at the stream's first such draw: numpy's ziggurat tables are not
+    reproduced here.  Exponential values are drawn in blocks of
+    ``RNG_BLOCK`` and served one by one, each equal to the value a scalar
+    draw would have returned.  A stream serves one distribution only, so
+    the two implementations never share a stream.
     """
 
     def __init__(self, seed: int, label: str) -> None:
         self.label = label
-        self._gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([seed, _label_key(label)]))
-        )
+        self._entropy = [seed, _label_key(label)]
+        self._state, self._inc = _pcg64_seed(self._entropy)
+        self._gen = None  # numpy's Generator, built at the first non-uniform draw
         self._kind: str | None = None
         self._block: list[float] = []  # next value last
 
@@ -104,27 +165,31 @@ class RngStream:
                 f"stream {self.label!r} draws {self._kind} values, not {kind} values"
             )
 
-    def _refill(self, kind: str) -> list[float]:
+    def _numpy_generator(self, kind: str):
         self._claim(kind)
-        gen = self._gen
-        draws = gen.random(RNG_BLOCK) if kind == "uniform" else gen.standard_exponential(RNG_BLOCK)
-        self._block = block = draws[::-1].tolist()
-        return block
+        if self._gen is None:
+            import numpy as np
+
+            self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self._entropy)))
+        return self._gen
 
     def uniform(self) -> float:
-        """Next value, uniform on [0, 1)."""
-        block = self._block
-        if not block or self._kind != "uniform":
-            block = self._refill("uniform")
-        return block.pop()
+        """Next value, uniform on [0, 1): the top 53 bits of the next output."""
+        if self._kind != "uniform":
+            self._claim("uniform")
+        self._state = state = (self._state * _PCG64_MULT + self._inc) & _MASK128
+        word = ((state >> 64) ^ state) & _MASK64
+        # XSL-RR rotates word right by the state's top 6 bits; word * (2**64
+        # + 1) puts two copies side by side, so one shift both rotates and
+        # drops the 11 low bits, and the mask keeps the top 53.
+        return ((word * _TWO_COPIES >> ((state >> 122) + 11)) & _MASK53) * 2.0**-53
 
     def exponential(self, mean: float) -> float:
         block = self._block
-        if not block or self._kind != "exponential":
-            block = self._refill("exponential")
+        if not block:
+            draws = self._numpy_generator("exponential").standard_exponential(RNG_BLOCK)
+            self._block = block = draws[::-1].tolist()
         return mean * block.pop()
 
     def normal(self, sigma: float) -> float:
-        self._claim("normal")
-        return float(self._gen.normal(0.0, sigma))
-
+        return float(self._numpy_generator("normal").normal(0.0, sigma))

@@ -1,4 +1,4 @@
-"""Per-device MAC: sensing over the vicinity set, FIFO claiming, persistence.
+"""Per-device MAC: sensing from positions, FIFO claiming, persistence.
 
 One :class:`PcsmaMac` instance owns the back-off state of every device in a
 run, in array form, next to the per-device persistence values.  Whether a
@@ -13,14 +13,17 @@ device's future schedule), and one period after a suppressed firing.  A
 device holds at most one pending packet; firings that land while a packet
 is pending or on air are counted as suppressed, never queued.
 
-The MAC senses only for a device that is not on air: ``generate`` suppresses
-a firing of an on-air device before sensing, and a device in back-off has
-nothing on air.  So a vicinity row's own (diagonal) entry is never read.
+Hearing is tested when a device senses, from positions: the sensor hears a
+device on air iff their distance is within the transmitter's detect range.
+That is the test ``topology.build_vicinity`` evaluates for every pair, in the
+same float operations, so no N x N matrix is kept.  The sensor's own entry
+is ignored, as the matrix's diagonal is false.
 """
 
 from __future__ import annotations
 
 import math
+from math import sqrt
 
 from . import phy
 from .config import RunConfig
@@ -76,8 +79,18 @@ class PcsmaMac:
         self.gateway = gateway
         self.on_air = gateway.on_air  # the gateway's map itself, not a copy
         self.persistence = persistence
-        # One 0/1 byte row per sensor, read in place from the bool matrix.
-        self.vicinity = [row.tobytes() for row in topo.vicinity]
+        loss, table = cfg.loss_params(), cfg.sensitivity_table()
+        # (x, y, z, detect range) per device; the range is the device's as a
+        # transmitter, at its SF and effective TX power.
+        self.hearing = [
+            (
+                d.x,
+                d.y,
+                d.z,
+                phy.detect_range_m(d.sf, phy.END_DEVICE, d.effective_tx_dbm, loss, table),
+            )
+            for d in devices
+        ]
         self.counters = counters
         self.records = records  # transmission log; None keeps none
         self.rng = persistence_rng
@@ -94,15 +107,20 @@ class PcsmaMac:
     # -- sensing ---------------------------------------------------------
 
     def sense(self, device: int) -> bool:
-        """True iff some device in the vicinity set is transmitting.
+        """True iff some other device on air lies within its own detect range
+        of the sensor.
 
-        Checks who is on air against the sensor's vicinity row, whose own
-        entry is never read (the sensor is not on air); the transmitters' SFs
-        are not consulted (energy-style).
+        The distance is ``sqrt((dx*dx + dy*dy) + dz*dz)``, the expression of
+        ``topology.build_vicinity``, so each answer equals the vicinity
+        matrix's.  The transmitters' SFs are not consulted beyond their
+        ranges (energy-style).
         """
-        row = self.vicinity[device]
+        hearing = self.hearing
+        x, y, z, _ = hearing[device]
         for j in self.on_air:
-            if row[j]:
+            xj, yj, zj, reach = hearing[j]
+            dx, dy, dz = x - xj, y - yj, z - zj
+            if sqrt((dx * dx + dy * dy) + dz * dz) <= reach and j != device:
                 return True
         return False
 

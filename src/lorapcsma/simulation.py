@@ -43,19 +43,18 @@ def topology_of(
     cfg: RunConfig, devices: list[topology.DeviceSpec], *, offsets_s: list[float] | None = None
 ) -> topology.Topology:
     """The topology of explicit devices under ``cfg``'s PHY: their gateway
-    receive powers and vicinity matrix, plus optional first-firing offsets
-    (one per device, in seconds)."""
+    receive powers, plus optional first-firing offsets (one per device, in
+    seconds)."""
     if not devices:
         raise ValueError("need at least one device")
     if offsets_s is not None and len(offsets_s) != len(devices):
         raise ValueError("offsets_s needs one entry per device")
-    loss = cfg.loss_params()
-    vicinity = topology.build_vicinity(devices, loss, cfg.sensitivity_table())
-    return topology.Topology(devices, vicinity, topology.gateway_rx_dbm(devices, loss), offsets_s)
+    prx_dbm = topology.gateway_rx_dbm(devices, cfg.loss_params())
+    return topology.Topology(devices, prx_dbm, offsets_s)
 
 
 def build_topology(cfg: RunConfig) -> topology.Topology:
-    """The run's devices, their gateway receive powers and the vicinity matrix.
+    """The run's devices and their gateway receive powers.
 
     Devices come from ``cfg.device_file`` as listed, or else from generated
     placement: cluster geometry, round-robin attributes.  Either way each

@@ -5,11 +5,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import phy
 from .kernel import RngStream, us_from_s
+
+if TYPE_CHECKING:
+    import numpy
 
 
 class ConfigError(ValueError):
@@ -172,16 +174,22 @@ def build_vicinity(
     devices: list[DeviceSpec],
     loss: phy.LossParams,
     table: phy.SensitivityTable,
-) -> np.ndarray:
+) -> numpy.ndarray:
     """Boolean matrix: entry (i, j) true iff device i can detect device j.
 
     Detection of j's transmissions uses j's SF with the end-device
     sensitivity row, so mixed-SF topologies may be asymmetric.  The diagonal
     is false: a device is not in its own vicinity set.
 
+    Runs do not build it: ``PcsmaMac.sense`` evaluates the same test for the
+    devices on air.  This is the reference "who hears whom", for tests and
+    analysis, and needs numpy.
+
     Distances are computed a block of rows at a time, as
     ``sqrt((dx**2 + dy**2) + dz**2)``, so no N x N float matrix is kept.
     """
+    import numpy as np
+
     n = len(devices)
     x, y, z = np.array([[d.x, d.y, d.z] for d in devices]).T
     ranges = np.array(
@@ -266,6 +274,5 @@ class Topology:
     device in seconds, overrides ``cfg.offsets`` when given."""
 
     devices: list[DeviceSpec]
-    vicinity: np.ndarray
     prx_dbm: list[float]
     offsets_s: list[float] | None = None

@@ -17,9 +17,14 @@ def devices_at(positions, sf=8, period_s=100.0, p=1.0, tx_power_dbm=14.0):
 
 
 def make_sim(devices, cfg: RunConfig | None = None, *, offsets_s=None, seed=1):
-    """Simulation over explicit devices; vicinity derived from the PHY defaults."""
+    """Simulation over explicit devices under the PHY defaults."""
     cfg = replace(cfg or RunConfig(n_devices=len(devices)), seed=seed)
     return Simulation(cfg, topology_of(cfg, devices, offsets_s=offsets_s))
+
+
+def vicinity_of(cfg: RunConfig, topo):
+    """The topology's vicinity matrix under ``cfg``'s PHY (who hears whom)."""
+    return topology.build_vicinity(topo.devices, cfg.loss_params(), cfg.sensitivity_table())
 
 
 def above_sensitivity(prx_dbm, sf, role, table):

@@ -9,7 +9,13 @@ import io
 import statistics
 from dataclasses import replace
 
-from conftest import above_sensitivity, devices_at, hidden_star_positions, overlapping_pairs
+from conftest import (
+    above_sensitivity,
+    devices_at,
+    hidden_star_positions,
+    overlapping_pairs,
+    vicinity_of,
+)
 from lorapcsma import phy
 from lorapcsma.config import RunConfig, SweepGrid
 from lorapcsma.metrics import compute_prr, write_csv, write_trace
@@ -58,7 +64,7 @@ def test_c03_non_hidden_exclusion():
         cfg = RunConfig(n_devices=20, n_areas=1, sf_set=(8,), p=p, sim_time_s=3600.0, seed=seed)
         result = run_scenario(cfg)
         collided += result.counters.collided
-        vic = build_topology(cfg).vicinity
+        vic = vicinity_of(cfg, build_topology(cfg))
         for a, b in overlapping_pairs(result.records):
             i, j = result.records[a].device, result.records[b].device
             if vic[i, j] and vic[j, i]:
@@ -91,7 +97,7 @@ def test_c05_demod_path_limit():
     devices = devices_at(hidden_star_positions(), period_s=1000.0)
     cfg = RunConfig(n_devices=9, period_set_s=(1000.0,), offsets="zero", sim_time_s=100.0, seed=1)
     topo = topology_of(cfg, devices, offsets_s=[0.0] * 9)
-    assert not topo.vicinity.any()  # mutually hidden
+    assert not vicinity_of(cfg, topo).any()  # mutually hidden
     result = Simulation(cfg, topo).run()
     c = result.counters
     ok = c.no_path == 1 and c.collided == 8 and result.audit.max_paths_bound == 8

@@ -92,11 +92,20 @@ def test_duplicate_key_rejected():
         ("n_devices = 10\nshadowing_sigma_db = nan\n", "shadowing_sigma_db"),
         ("n_devices = 10\nseed = -3\n", "seed must be >= 0"),
         ("n_devices = 10\ncrc = maybe\n", "line 2: crc: expected true/false, got 'maybe'"),
+        # Built from Python, where no parser fixes the types: an int field
+        # refuses a float or a bool, and a tuple field a (mutable) list.
+        ({"n_devices": 2.5}, "n_devices must be of type int, got 2.5"),
+        ({"n_devices": True}, "n_devices must be of type int, got True"),
+        ({"n_devices": 2, "seed": 1.5}, "seed must be of type int, got 1.5"),
+        ({"n_devices": 2, "p": [0.5, 0.5]}, r"p must be of type float \| tuple.*got \[0.5, 0.5\]"),
+        ({"n_devices": 2, "period_set_s": [10.0]}, "period_set_s must be of type tuple"),
+        ({"n_devices": 2, "sf_set": (8.0,)}, "sf_set must be of type tuple"),
     ],
 )
 def test_invalid_values_are_named_errors(doc, match):
+    # A document goes through the parser; a dict is RunConfig's keywords.
     with pytest.raises(ConfigError, match=match):
-        parse_config(doc)
+        parse_config(doc) if isinstance(doc, str) else RunConfig(**doc)
 
 
 def test_per_device_p_list():

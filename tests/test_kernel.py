@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lorapcsma.kernel import RNG_BLOCK, RngStream, Scheduler, us_from_s
+from lorapcsma.kernel import RNG_BLOCK, RngStream, Scheduler, _label_key, us_from_s
 
 
 def test_fifo_tie_break():
@@ -94,19 +94,29 @@ def test_distinct_stream_ids_give_distinct_sequences():
     assert a != b
 
 
-def _scalar_generator(seed, label):
-    # A fresh copy of the stream's generator, drawn one value at a time.
-    return RngStream(seed, label)._gen
+def _numpy_generator(seed, label):
+    # The oracle: numpy's generator under the stream's documented seeding.
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, _label_key(label)])))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64, 2**100 + 12345])
+@pytest.mark.parametrize("label", ["placement", "traffic", "persistence", "shadowing"])
+def test_uniform_draws_equal_numpy_pcg64(seed, label):
+    # The seeds cover one, two, three and four 32-bit entropy words, and the
+    # labels are the simulation's four streams.
+    stream = RngStream(seed, label)
+    expected = _numpy_generator(seed, label).random(640).tolist()
+    assert [stream.uniform() for _ in range(640)] == expected
 
 
 def test_block_draws_equal_scalar_draws():
     n = 3 * RNG_BLOCK + 5  # crosses several refills
-    stream, gen = RngStream(11, "u"), _scalar_generator(11, "u")
+    stream, gen = RngStream(11, "u"), _numpy_generator(11, "u")
     assert [stream.uniform() for _ in range(n)] == [float(gen.random()) for _ in range(n)]
     means = [0.5 + k % 7 for k in range(n)]  # the mean may change per draw
-    stream, gen = RngStream(11, "e"), _scalar_generator(11, "e")
+    stream, gen = RngStream(11, "e"), _numpy_generator(11, "e")
     assert [stream.exponential(m) for m in means] == [float(gen.exponential(m)) for m in means]
-    stream, gen = RngStream(11, "n"), _scalar_generator(11, "n")
+    stream, gen = RngStream(11, "n"), _numpy_generator(11, "n")
     assert [stream.normal(2.0) for _ in range(10)] == [float(gen.normal(0.0, 2.0)) for _ in range(10)]
 
 

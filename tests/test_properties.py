@@ -2,18 +2,17 @@
 carrier sensing agrees with the vicinity-matrix oracle."""
 
 import io
+import math
 
-import numpy as np
-
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from conftest import devices_at
+from lorapcsma import phy
 from lorapcsma.config import ConfigError, RunConfig
 from lorapcsma.gateway import Outcome, TxRecord
 from lorapcsma.metrics import write_trace
-from lorapcsma.simulation import Simulation, run_scenario
-from lorapcsma.topology import Topology
+from lorapcsma.simulation import Simulation, run_scenario, topology_of
+from lorapcsma.topology import DeviceSpec, build_vicinity
 
 probabilities = st.floats(0.01, 1.0)
 
@@ -77,24 +76,61 @@ def test_accepted_configs_terminate_conserve_and_replay(cfg):
     assert unlogged.audit == audit
 
 
+SF10_RANGE_M = phy.detect_range_m(10, phy.END_DEVICE, 14.0, phy.LossParams(), phy.SensitivityTable())
+
+
+def _device(i, x, y=0.0, z=0.0, sf=8, tx_power_dbm=14.0, shadow_db=0.0):
+    return DeviceSpec(i, x, y, z, sf, tx_power_dbm, 100.0, 1.0, shadow_db)
+
+
 @st.composite
-def vicinities_and_toggles(draw):
+def devices_and_toggles(draw):
     n = draw(st.integers(1, 12))
-    cells = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
-    toggles = draw(st.lists(st.integers(0, n - 1), max_size=40))
-    return np.array(cells, dtype=bool).reshape(n, n), toggles
+    # Distances up to ~14 km against detect ranges of ~0.5-17 km (SF, power
+    # and fade all vary) give both outcomes.
+    coordinate = st.floats(-5000.0, 5000.0)
+    devices = [
+        _device(
+            i,
+            draw(coordinate),
+            draw(coordinate),
+            draw(st.floats(-300.0, 300.0)),
+            sf=draw(st.integers(phy.SF_MIN, phy.SF_MAX)),
+            tx_power_dbm=draw(st.floats(-5.0, 20.0)),
+            shadow_db=draw(st.floats(-10.0, 10.0)),
+        )
+        for i in range(n)
+    ]
+    return devices, draw(st.lists(st.integers(0, n - 1), max_size=40))
 
 
 @settings(max_examples=100, deadline=None)
-@given(vicinities_and_toggles())
+@given(devices_and_toggles())
+# 4000 m apart, the SF10 device is heard by the SF8 one and not the reverse.
+@example(([_device(0, 0.0), _device(1, 4000.0, sf=10)], [1, 1, 0]))
+# Device 1 sits exactly at its detect range from device 0 when the squares
+# are summed as (dx*dx + dy*dy) + dz*dz, and one ulp beyond it in any other
+# order, so it is heard only under build_vicinity's order.  Device 2 sits
+# one ulp beyond its own detect range from device 0.
+@example(
+    (
+        [
+            _device(0, 0.0),
+            _device(1, 3183.8804514713797, 1452.2909874277825, 261.733139071556),
+            _device(2, -math.nextafter(SF10_RANGE_M, math.inf), sf=10),
+        ],
+        [1, 2],
+    )
+)
 def test_sense_matches_the_vicinity_matrix_oracle(case):
-    # Random, possibly asymmetric matrices with arbitrary diagonals.  The MAC
-    # senses only for a device that is not on air, so only those are asked,
-    # and a device's own entry never decides the answer.
-    vicinity, toggles = case
-    n = len(vicinity)
-    devices = devices_at([(float(i), 0.0) for i in range(n)])
-    sim = Simulation(RunConfig(n_devices=n), Topology(devices, vicinity, [0.0] * n))
+    # The MAC tests distances at sense time; build_vicinity evaluates the
+    # same test for every pair at once.  Every device is asked, on air or
+    # not, and a device's own transmission never makes it sense busy.
+    devices, toggles = case
+    n = len(devices)
+    cfg = RunConfig(n_devices=n)
+    vicinity = build_vicinity(devices, cfg.loss_params(), cfg.sensitivity_table())
+    sim = Simulation(cfg, topology_of(cfg, devices))
     gateway = sim.gateway
     for step in [None, *toggles]:
         if step is not None:
@@ -104,6 +140,5 @@ def test_sense_matches_the_vicinity_matrix_oracle(case):
                 gateway.on_tx_start(TxRecord(step, 8, 0, 1, 0.0))
         busy = [j in gateway.on_air for j in range(n)]
         for d in range(n):
-            if not busy[d]:
-                oracle = any(vicinity[d, j] and busy[j] for j in range(n))
-                assert sim.mac.sense(d) == oracle
+            oracle = any(vicinity[d, j] and busy[j] for j in range(n))
+            assert sim.mac.sense(d) == oracle

@@ -10,10 +10,9 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from conftest import devices_at, overlapping_pairs
+from conftest import devices_at, overlapping_pairs, vicinity_of
 from lorapcsma import cli, phy, sweep
 from lorapcsma.config import ConfigError, RunConfig, SweepGrid
 from lorapcsma.gateway import GatewayPhy, Outcome
@@ -61,7 +60,7 @@ def test_synchronized_visible_pair_never_collides():
 def test_no_mutually_visible_overlap_and_hidden_collisions_only():
     cfg = RunConfig(n_devices=60, n_areas=3, sf_set=(8, 9, 10), p=0.5, seed=21)
     result = run_scenario(cfg)
-    vic = build_topology(cfg).vicinity
+    vic = vicinity_of(cfg, build_topology(cfg))
     records = result.records
     for a, b in overlapping_pairs(records):
         i, j = records[a].device, records[b].device
@@ -354,11 +353,21 @@ def _init_peak_bytes(cfg: RunConfig) -> int:
         tracemalloc.stop()
 
 
-def test_simulation_init_makes_no_second_vicinity_copy():
-    # The per-sensor byte rows take N^2 bytes; a copy of the caller's bool
-    # matrix next to them would take another N^2.
-    n = 1500
-    assert _init_peak_bytes(RunConfig(n_devices=n, n_areas=3, p=0.25, seed=1)) < 1.5 * n * n
+def test_run_set_up_memory_is_linear_in_the_device_count():
+    # Sensing tests positions at sense time, so neither the topology nor the
+    # MAC holds an N x N table: one would take n * n bytes (25 MB) at least.
+    # About 0.5 kB per device is measured (DeviceSpec objects and per-device
+    # lists); 1 kB per device leaves room for interpreter differences.
+    n = 5000
+    cfg = RunConfig(n_devices=n, n_areas=3, p=0.25, seed=1)
+    build_topology(RunConfig(n_devices=1))  # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        Simulation(cfg, build_topology(cfg), keep_records=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * n
 
 
 def test_gateway_paths_beyond_the_device_count_cost_nothing():
@@ -539,6 +548,39 @@ def test_cli_sweep(tmp_path):
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 4 + 4  # header, 4 runs, mean+stddev per cell
         assert all(line.split(",")[2] == mac for line in lines[1:])
+
+
+# ``lorapcsma`` with every import of numpy failing.
+NUMPY_BLOCKED_CLI = (
+    "import sys; sys.modules['numpy'] = None; "
+    "from lorapcsma import cli; sys.exit(cli.main(sys.argv[1:]))"
+)
+
+
+def test_periodic_runs_and_sweeps_need_no_numpy(tmp_path):
+    # Only Poisson traffic, shadowing and build_vicinity need numpy, so a
+    # periodic sweep (forked workers included) and run finish without it.
+    config = tmp_path / "scenario.cfg"
+    config.write_text("n_devices = 6\nsim_time_s = 600\np = 0.5\n")
+    grid = tmp_path / "grid.cfg"
+    grid.write_text(
+        "device_counts = {4, 8}\np_values = {0.25, 1.0}\nsf_sets = {8, 8+9+10}\n"
+        "n_areas_values = {1, 3}\nseeds = {1, 2}\n"
+    )
+    out = tmp_path / "sweep.csv"
+    for argv in (
+        ["sweep", "--config", str(config), "--grid", str(grid), "--out", str(out)],
+        ["run", "--config", str(config), "--mode", "aloha"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", NUMPY_BLOCKED_CLI, *argv],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+    assert len(out.read_text().splitlines()) == 1 + 16 * 2 + 16 * 2
 
 
 def test_cli_validate_aloha(tmp_path, capsys):
@@ -751,7 +793,7 @@ def _devices(**attributes):
 
 
 def _hand_made_topology(**attributes):
-    return Topology(_devices(**attributes), ~np.eye(2, dtype=bool), [-80.0, -80.0])
+    return Topology(_devices(**attributes), [-80.0, -80.0])
 
 
 TOO_SHORT_S = 1e-9  # rounds to 0 us: the event would reschedule at t = 0 forever

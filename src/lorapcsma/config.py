@@ -12,8 +12,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import phy
-from .kernel import us_from_s
-from .topology import ClusterGeometry, ConfigError, validate_geometry
+from .kernel import US_PER_S, lasts_1us
+from .topology import MAX_LEVEL_DB, ConfigError, validate_geometry
 
 # The allowed values of every enumerated key, for the parser and validate().
 _CHOICES = {
@@ -121,22 +121,15 @@ class RunConfig:
             gateway=self.gateway_sensitivity_dbm,
         )
 
-    def geometry(self) -> ClusterGeometry:
-        return ClusterGeometry(
-            n_areas=self.n_areas,
-            cluster_radius_m=self.cluster_radius_m,
-            ring_radius_m=self.ring_radius_m,
-        )
-
     def poisson_mean_gap_s(self, sf: int) -> float:
         """Mean gap between aggregate Poisson arrivals: one airtime at ``sf``
         divided by ``offered_load``."""
         gap_s = phy.time_on_air(sf, self.radio_params()) / self.offered_load
         # A gap that rounds to 0 us would schedule every arrival at one tick.
-        if us_from_s(gap_s) < 1:
+        if not lasts_1us(gap_s):
             raise ConfigError(
                 f"offered_load {self.offered_load:g} makes the mean Poisson gap "
-                f"{gap_s:.3g} s at SF{sf}, below 1 us"
+                f"{gap_s:.3g} s at SF{sf}, below 1 us or not finite in microseconds"
             )
         return gap_s
 
@@ -152,10 +145,9 @@ class RunConfig:
                 raise ConfigError(f"{key} must be one of {allowed}, got {getattr(self, key)!r}")
         if self.n_devices < 1:
             raise ConfigError("n_devices is required and must be >= 1")
-        if self.sim_time_s <= 0:
-            raise ConfigError("sim_time_s must be positive")
-        # A duration that rounds to 0 us would reschedule at the same tick forever.
-        if not self.period_set_s or any(us_from_s(t) < 1 for t in self.period_set_s):
+        if not 0 < self.sim_time_s * US_PER_S < math.inf:
+            raise ConfigError("sim_time_s must be positive and finite in microseconds")
+        if not self.period_set_s or not all(lasts_1us(t) for t in self.period_set_s):
             raise ConfigError("period_set_s must be non-empty with periods of at least 1 us")
         if not self.sf_set:
             raise ConfigError("sf_set must be non-empty")
@@ -178,20 +170,41 @@ class RunConfig:
             raise ConfigError("gateway_paths must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.shadowing_sigma_db < 0:
-            raise ConfigError("shadowing_sigma_db must be >= 0")
-        try:
-            radio = self.radio_params()
-        except ValueError as exc:
-            raise ConfigError(f"radio parameters: {exc}") from None
+        # Every device takes tx_power_dbm and a fade drawn with sigma, and a
+        # received power is it less the path loss: all keep the device level
+        # bound, sigma with room for a 100-sigma fade.
+        if not 0 <= self.shadowing_sigma_db <= MAX_LEVEL_DB / 100:
+            raise ConfigError(f"shadowing_sigma_db must be in [0, {MAX_LEVEL_DB / 100:g}]")
+        for key in ("tx_power_dbm", "reference_loss_db"):
+            value = getattr(self, key)
+            if not abs(value) <= MAX_LEVEL_DB:
+                raise ConfigError(
+                    f"{key} must be at most {MAX_LEVEL_DB:g} in magnitude, got {value:g}"
+                )
+        for what, build in (
+            ("radio parameters", self.radio_params),
+            ("path-loss parameters", self.loss_params),
+            ("sensitivity tables", self.sensitivity_table),
+        ):
+            try:
+                build()
+            except ValueError as exc:
+                raise ConfigError(f"{what}: {exc}") from None
+        radio = self.radio_params()
+        # Airtime grows with SF, so SF12's bounds that of any device's SF.
+        if not math.isfinite(phy.time_on_air(phy.SF_MAX, radio) * US_PER_S):
+            raise ConfigError(
+                f"bandwidth_hz {self.bandwidth_hz:g} makes the SF{phy.SF_MAX} airtime not finite "
+                "in microseconds"
+            )
         for sf in self.sf_set:
             interval_s = self.sensing_interval_s
             if interval_s is None:
                 interval_s = phy.sensing_interval_s(sf, radio)
-            if us_from_s(interval_s) < 1:
+            if not lasts_1us(interval_s):
                 raise ConfigError(
-                    f"sensing_interval_s gives {interval_s:.3g} s at SF{sf}, below 1 us "
-                    "(auto is half the airtime)"
+                    f"sensing_interval_s gives {interval_s:.3g} s at SF{sf}, below 1 us or not "
+                    "finite in microseconds (auto is half the airtime)"
                 )
         if self.traffic == "poisson":
             if self.offered_load <= 0:
@@ -199,18 +212,10 @@ class RunConfig:
             if len(self.sf_set) != 1:
                 raise ConfigError("poisson traffic needs a single-SF sf_set (one packet-time)")
             self.poisson_mean_gap_s(self.sf_set[0])
-        try:
-            loss = self.loss_params()
-        except ValueError as exc:
-            raise ConfigError(f"path-loss parameters: {exc}") from None
-        try:
-            table = self.sensitivity_table()
-        except ValueError as exc:
-            raise ConfigError(f"sensitivity tables: {exc}") from None
-        # A device file fixes the placement; generated clusters must be
-        # mutually hidden yet gateway-covered.
+        # A device file fixes the placement; generated clusters must fit the
+        # float range and be mutually hidden yet gateway-covered.
         if self.device_file is None:
-            validate_geometry(self.geometry(), self.sf_set, self.tx_power_dbm, loss, table)
+            validate_geometry(self)
 
 
 @dataclass(frozen=True)

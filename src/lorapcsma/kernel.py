@@ -9,6 +9,7 @@ deterministic.
 from __future__ import annotations
 
 import hashlib
+import math
 from heapq import heappop, heappush
 from typing import Callable
 
@@ -18,6 +19,13 @@ US_PER_S = 1_000_000
 def us_from_s(seconds: float) -> int:
     """Convert a duration in seconds to integer microseconds (nearest)."""
     return round(seconds * US_PER_S)
+
+
+def lasts_1us(seconds: float) -> bool:
+    """Whether a duration is a whole number of at least 1 us: neither NaN nor
+    past the float range in microseconds, nor rounding to 0 (a period of 0 us
+    would reschedule at one tick forever)."""
+    return math.isfinite(seconds * US_PER_S) and us_from_s(seconds) >= 1
 
 
 class Scheduler:

@@ -22,7 +22,6 @@ is ignored, as the matrix's diagonal is false.
 
 from __future__ import annotations
 
-import math
 from math import sqrt
 
 from . import phy
@@ -30,14 +29,10 @@ from .config import RunConfig
 from .gateway import GatewayPhy, TxRecord
 from .kernel import Scheduler, RngStream, US_PER_S, us_from_s
 from .metrics import Counters
-from .topology import DeviceSpec
+from .topology import DeviceSpec, device_problem
 
 DUTY_CYCLE_LIMIT = 0.01
 DUTY_WINDOW_US = 3600 * US_PER_S
-
-# Device fields that enter the received powers and detect ranges of a run;
-# the run gate refuses a NaN or an infinity in any of them.
-FINITE_FIELDS = ("x", "y", "z", "tx_power_dbm", "shadow_db")
 
 
 def shall_it_pass(p: float, rng: RngStream) -> bool:
@@ -56,33 +51,15 @@ class PcsmaMac:
         records: list[TxRecord] | None,
         persistence_rng: RngStream,
     ) -> None:
-        # The run gate: every run passes here, before any event, and a device
-        # list is checked nowhere else.  A device is named by its index.
+        # The run gate: every run passes here, before any event, however its
+        # device list was built.  A device is named by its index.
         if not devices:
             raise ValueError("need at least one device")
         for device, d in enumerate(devices):
-            for name in FINITE_FIELDS:
-                value = getattr(d, name)
-                if not math.isfinite(value):
-                    raise ValueError(f"{name} for device {device} must be finite, got {value}")
-            if not phy.SF_MIN <= d.sf <= phy.SF_MAX:
-                raise ValueError(
-                    f"sf for device {device} must be in {phy.SF_MIN}..{phy.SF_MAX}, got {d.sf}"
-                )
-            if not 0.0 < d.persistence <= 1.0:
-                raise ValueError(
-                    f"persistence for device {device} must be in (0, 1], got {d.persistence}"
-                )
-            # A duration that rounds to 0 us would reschedule at the same
-            # tick forever.
-            if not math.isfinite(d.period_s) or us_from_s(d.period_s) < 1:
-                raise ValueError(
-                    f"period for device {device} must be finite and >= 1 us, got {d.period_s}"
-                )
-            if d.offset_s is not None and not 0.0 <= d.offset_s < math.inf:
-                raise ValueError(
-                    f"offset for device {device} must be finite and >= 0, got {d.offset_s}"
-                )
+            problem = device_problem(d)
+            if problem is not None:
+                field, wrong = problem
+                raise ValueError(f"{field} for device {device} {wrong}")
         n = len(devices)
         radio = cfg.radio_params()
         sfs = {d.sf for d in devices}

@@ -143,9 +143,13 @@ def detect_range_m(
     """Distance at which the received power equals the role's threshold.
 
     Inverts the log-distance formula; with no positive link budget the range
-    collapses to the reference distance.
+    collapses to the reference distance, and past the float range it is
+    infinite (heard at any distance).
     """
     budget_db = tx_power_dbm - loss.reference_loss_db - table.threshold_dbm(sf, role)
     if budget_db <= 0:
         return loss.reference_distance_m
-    return loss.reference_distance_m * 10.0 ** (budget_db / (10.0 * loss.exponent))
+    try:
+        return loss.reference_distance_m * 10.0 ** (budget_db / (10.0 * loss.exponent))
+    except OverflowError:
+        return math.inf

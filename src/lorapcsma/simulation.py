@@ -55,7 +55,7 @@ def build_topology(cfg: RunConfig) -> list[topology.DeviceSpec]:
             )
     else:
         rng = RngStream(cfg.seed, STREAM_PLACEMENT)
-        positions = topology.place_clusters(cfg.n_devices, cfg.geometry(), rng)
+        positions = topology.place_clusters(cfg, rng)
         devices = topology.assign_attributes(
             positions, cfg.sf_set, cfg.period_set_s, cfg.p, cfg.tx_power_dbm
         )

@@ -8,10 +8,12 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import phy
-from .kernel import RngStream, us_from_s
+from .kernel import US_PER_S, RngStream, lasts_1us
 
 if TYPE_CHECKING:
     import numpy
+
+    from .config import RunConfig
 
 
 class ConfigError(ValueError):
@@ -20,7 +22,7 @@ class ConfigError(ValueError):
 
 
 class GeometryError(ConfigError):
-    """Requested cluster geometry cannot satisfy hiding/coverage bounds."""
+    """Requested cluster geometry breaks a radius, hiding or coverage bound."""
 
 
 @dataclass
@@ -46,31 +48,34 @@ class DeviceSpec:
         return self.tx_power_dbm - self.shadow_db
 
 
-@dataclass(frozen=True)
-class ClusterGeometry:
-    """Hidden-area layout: cluster centres at equal angles on a ring around
-    the gateway at the origin; a single area sits directly on the gateway."""
+# Device fields that enter the received powers and detect ranges of a run.
+FINITE_FIELDS = ("x", "y", "z", "tx_power_dbm", "shadow_db")
+# The largest magnitude of a coordinate, which keeps every squared distance
+# of a run finite, and of a power level in dBm or dB, which keeps the
+# effective and received powers finite.
+MAX_COORD_M = 1e150
+MAX_LEVEL_DB = 1e300
 
-    n_areas: int = 1
-    cluster_radius_m: float = 150.0
-    ring_radius_m: float = 4000.0
 
-    def __post_init__(self):
-        if self.n_areas < 1:
-            raise GeometryError("n_areas must be >= 1")
-        if self.cluster_radius_m < 0 or self.ring_radius_m < 0:
-            raise GeometryError("cluster and ring radii must be non-negative")
-
-    def centers(self) -> list[tuple[float, float]]:
-        if self.n_areas == 1:
-            return [(0.0, 0.0)]
-        return [
-            (
-                self.ring_radius_m * math.cos(2.0 * math.pi * k / self.n_areas),
-                self.ring_radius_m * math.sin(2.0 * math.pi * k / self.n_areas),
-            )
-            for k in range(self.n_areas)
-        ]
+def device_problem(d: DeviceSpec) -> tuple[str, str] | None:
+    """The first device rule of a run that ``d`` breaks, as (field, what is
+    wrong), or None.  The run gate and ``load_device_file`` both apply it."""
+    for name in FINITE_FIELDS:
+        value = getattr(d, name)
+        if not math.isfinite(value):
+            return name, f"must be finite, got {value}"
+        limit = MAX_COORD_M if name in ("x", "y", "z") else MAX_LEVEL_DB
+        if abs(value) > limit:
+            return name, f"must be at most {limit:g} in magnitude, got {value:g}"
+    if not phy.SF_MIN <= d.sf <= phy.SF_MAX:
+        return "sf", f"must be in {phy.SF_MIN}..{phy.SF_MAX}, got {d.sf}"
+    if not 0.0 < d.persistence <= 1.0:
+        return "persistence", f"must be in (0, 1], got {d.persistence}"
+    if not lasts_1us(d.period_s):
+        return "period", f"must be finite and >= 1 us, got {d.period_s}"
+    if d.offset_s is not None and not 0.0 <= d.offset_s * US_PER_S < math.inf:
+        return "offset", f"must be finite and >= 0, got {d.offset_s}"
+    return None
 
 
 def cluster_sizes(n_devices: int, n_areas: int) -> list[int]:
@@ -79,30 +84,29 @@ def cluster_sizes(n_devices: int, n_areas: int) -> list[int]:
     return [base + (1 if k < extra else 0) for k in range(n_areas)]
 
 
-def validate_geometry(
-    geom: ClusterGeometry,
-    sf_set: tuple[int, ...],
-    tx_power_dbm: float,
-    loss: phy.LossParams,
-    table: phy.SensitivityTable,
-) -> None:
-    """Check that clusters are mutually hidden yet gateway-covered.
+def validate_geometry(cfg: RunConfig) -> None:
+    """Check that generated clusters fit the float range, and are mutually
+    hidden yet gateway-covered.
 
     Mutual hiding uses the largest end-device detect range across the
     assigned SFs.  Coverage applies the gateway's own test to the farthest
     possible member at the least sensitive assigned SF, so any round-robin
     SF assignment is covered.
     """
+    # The farthest a member may sit from the gateway, at the origin.
+    max_gw_dist = cfg.cluster_radius_m + (cfg.ring_radius_m if cfg.n_areas > 1 else 0.0)
+    if min(cfg.cluster_radius_m, cfg.ring_radius_m) < 0 or max_gw_dist > MAX_COORD_M:
+        raise GeometryError(
+            "cluster and ring radii must be non-negative and keep every member within "
+            f"{MAX_COORD_M:g} m of the gateway"
+        )
+    loss, table = cfg.loss_params(), cfg.sensitivity_table()
     max_device_range = max(
-        phy.detect_range_m(sf, phy.END_DEVICE, tx_power_dbm, loss, table) for sf in sf_set
+        phy.detect_range_m(sf, phy.END_DEVICE, cfg.tx_power_dbm, loss, table) for sf in cfg.sf_set
     )
-    if geom.n_areas == 1:
-        max_gw_dist = geom.cluster_radius_m
-    else:
-        max_gw_dist = geom.ring_radius_m + geom.cluster_radius_m
+    if cfg.n_areas > 1:
         min_separation = (
-            2.0 * geom.ring_radius_m * math.sin(math.pi / geom.n_areas)
-            - 2.0 * geom.cluster_radius_m
+            2.0 * cfg.ring_radius_m * math.sin(math.pi / cfg.n_areas) - 2.0 * cfg.cluster_radius_m
         )
         if min_separation <= max_device_range:
             raise GeometryError(
@@ -110,8 +114,8 @@ def validate_geometry(
                 f"exceed the maximum end-device detect range {max_device_range:.1f} m; "
                 "increase ring_radius_m or decrease cluster_radius_m"
             )
-    prx_dbm = phy.received_power_dbm(tx_power_dbm, max_gw_dist, loss)
-    threshold_dbm, sf = max((table.threshold_dbm(sf, phy.GATEWAY), sf) for sf in sf_set)
+    prx_dbm = phy.received_power_dbm(cfg.tx_power_dbm, max_gw_dist, loss)
+    threshold_dbm, sf = max((table.threshold_dbm(sf, phy.GATEWAY), sf) for sf in cfg.sf_set)
     if prx_dbm < threshold_dbm:
         raise GeometryError(
             f"cluster members may sit up to {max_gw_dist:.1f} m from the gateway and arrive at "
@@ -120,15 +124,19 @@ def validate_geometry(
         )
 
 
-def place_clusters(
-    n_devices: int, geom: ClusterGeometry, rng: RngStream
-) -> list[tuple[float, float, float]]:
-    """Positions for ``n_devices`` split across the clusters, uniform in each disc."""
+def place_clusters(cfg: RunConfig, rng: RngStream) -> list[tuple[float, float, float]]:
+    """Positions for ``cfg.n_devices``, uniform in each of ``cfg.n_areas`` discs
+    of ``cfg.cluster_radius_m``: their centres sit at equal angles on a ring of
+    ``cfg.ring_radius_m`` around the gateway, or on it for a single area."""
+    n_areas = cfg.n_areas
     positions = []
-    centers = geom.centers()
-    for size, (cx, cy) in zip(cluster_sizes(n_devices, geom.n_areas), centers):
+    for k, size in enumerate(cluster_sizes(cfg.n_devices, n_areas)):
+        cx, cy = 0.0, 0.0
+        if n_areas > 1:
+            cx = cfg.ring_radius_m * math.cos(2.0 * math.pi * k / n_areas)
+            cy = cfg.ring_radius_m * math.sin(2.0 * math.pi * k / n_areas)
         for _ in range(size):
-            r = geom.cluster_radius_m * math.sqrt(rng.uniform())
+            r = cfg.cluster_radius_m * math.sqrt(rng.uniform())
             theta = 2.0 * math.pi * rng.uniform()
             positions.append((cx + r * math.cos(theta), cy + r * math.sin(theta), 0.0))
     return positions
@@ -244,18 +252,12 @@ def load_device_file(
             p = float(parts[6])
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from None
-        for name, value in zip(("x", "y", "z", "period_s", "p"), (x, y, z, period_s, p)):
-            if not math.isfinite(value):
-                raise ConfigError(f"{path}:{lineno}: {name} must be finite, got {value}")
-        if not phy.SF_MIN <= sf <= phy.SF_MAX:
-            raise ConfigError(f"{path}:{lineno}: spreading factor {sf} out of range")
-        if not 0.0 < p <= 1.0:
-            raise ConfigError(f"{path}:{lineno}: persistence {p} not in (0, 1]")
-        if us_from_s(period_s) < 1:
-            raise ConfigError(f"{path}:{lineno}: period must be at least 1 us")
         if dev_id in rows:
             raise ConfigError(f"{path}:{lineno}: duplicate device id {dev_id}")
         rows[dev_id] = DeviceSpec(x, y, z, sf, tx_power_dbm, period_s, p)
+        problem = device_problem(rows[dev_id])
+        if problem is not None:
+            raise ConfigError(f"{path}:{lineno}: {' '.join(problem)}")
     if sorted(rows) != list(range(len(rows))):
         raise ConfigError(f"{path}: device ids must be consecutive from 0")
     return [rows[i] for i in range(len(rows))]

@@ -100,6 +100,15 @@ def test_duplicate_key_rejected():
         ({"n_devices": 2, "p": [0.5, 0.5]}, r"p must be of type float \| tuple.*got \[0.5, 0.5\]"),
         ({"n_devices": 2, "period_set_s": [10.0]}, "period_set_s must be of type tuple"),
         ({"n_devices": 2, "sf_set": (8.0,)}, "sf_set must be of type tuple"),
+        # Finite numbers that overflow later, in microseconds or in a detect
+        # range, are named too.
+        ("n_devices = 1\nsim_time_s = 1e303\n", "sim_time_s"),
+        ({"n_devices": 1, "period_set_s": (1e303,)}, "period_set_s"),
+        ({"n_devices": 1, "sensing_interval_s": 1e303}, "sensing_interval_s"),
+        ({"n_devices": 1, "traffic": "poisson", "offered_load": 1e-320}, "offered_load"),
+        ({"n_devices": 1, "tx_power_dbm": 1e308}, "tx_power_dbm must be at most 1e\\+300"),
+        ({"n_devices": 1, "reference_loss_db": -1e308}, "reference_loss_db must be at most"),
+        ({"n_devices": 1, "bandwidth_hz": 1e-310}, "bandwidth_hz 1e-310 makes the SF12 airtime"),
     ],
 )
 def test_invalid_values_are_named_errors(doc, match):

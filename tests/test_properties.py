@@ -3,6 +3,7 @@ carrier sensing agrees with the vicinity-matrix oracle."""
 
 import io
 import math
+from dataclasses import fields
 
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
@@ -45,6 +46,41 @@ def run_configs(draw):
         return RunConfig(**fields)
     except ConfigError:
         reject()  # a draw that cannot be built is no config
+
+
+# Every RunConfig field that holds floats, alone or in a tuple.
+FLOAT_FIELDS = [f.name for f in fields(RunConfig) if "float" in f.type]
+BASES = (
+    {"n_devices": 1},
+    {"n_devices": 3, "n_areas": 3},
+    {"n_devices": 1, "traffic": "poisson"},
+)
+
+
+@st.composite
+def configs_with_one_float_changed(draw):
+    """A base config's keywords with one float, or one entry of a tuple of
+    floats, set to any finite float."""
+    keywords = dict(draw(st.sampled_from(BASES)))
+    name = draw(st.sampled_from(FLOAT_FIELDS))
+    value = draw(st.floats(allow_nan=False, allow_infinity=False))
+    default = getattr(RunConfig(**keywords), name)
+    if isinstance(default, tuple):
+        k = draw(st.integers(0, len(default) - 1))
+        value = default[:k] + (value,) + default[k + 1 :]
+    keywords[name] = value
+    return keywords
+
+
+@settings(max_examples=500, deadline=None)
+@given(configs_with_one_float_changed())
+def test_a_config_with_any_finite_float_builds_or_names_the_error(keywords):
+    # Huge and tiny floats overflow in microseconds or in a detect range;
+    # building refuses them with a ConfigError, never an OverflowError.
+    try:
+        RunConfig(**keywords)
+    except ConfigError:
+        pass
 
 
 def _trace(result) -> str:

@@ -434,6 +434,17 @@ def test_cli_device_file_fault_exits_2_naming_the_line(tmp_path):
     assert f"{devices}:2: x must be finite" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_cli_device_file_position_that_overflows_exits_2_naming_the_line(tmp_path):
+    # Finite, but its square in the gateway power would overflow a float.
+    devices = tmp_path / "devices.txt"
+    devices.write_text("0 1e200 0 0 8 100 1.0\n")
+    config = tmp_path / "scenario.cfg"
+    config.write_text(f"n_devices = 1\ndevice_file = {devices}\n")
+    proc = _run_cli("run", "--config", str(config))
+    assert proc.returncode == 2
+    assert f"{devices}:1: x must be at most" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_device_file_poisson_gap_uses_device_0s_sf(tmp_path):
     # validate() checks the gap at sf_set[0] = SF12 (1.5 us, accepted), but
     # the arrivals run at device 0's SF7, whose gap rounds to 0 us.
@@ -870,7 +881,12 @@ WIDE_SF12 = dict(bandwidth_hz=1e10, sf_set=(12,))
                 "offset for device 0 must be finite and >= 0",
                 id=f"Topology-offset-{name}",
             )
-            for name, offset_s in (("negative", -1.0), ("nan", float("nan")), ("inf", float("inf")))
+            for name, offset_s in (
+                ("negative", -1.0),
+                ("nan", float("nan")),
+                ("inf", float("inf")),
+                ("overflow", 1e303),  # finite, but not in microseconds
+            )
         ),
         pytest.param(
             lambda cfg: Simulation(cfg, _built(cfg, period_s=TOO_SHORT_S)),
@@ -891,6 +907,12 @@ WIDE_SF12 = dict(bandwidth_hz=1e10, sf_set=(12,))
             id="topology_of-period-inf",
         ),
         pytest.param(
+            lambda cfg: Simulation(cfg, _built(cfg, period_s=1e303)),
+            ValueError,
+            "period for device 0 must be finite",
+            id="topology_of-period-overflow",
+        ),
+        pytest.param(
             lambda cfg: Simulation(
                 replace(cfg, **WIDE_SF12), _built(replace(cfg, **WIDE_SF12), sf=7)
             ),
@@ -908,12 +930,31 @@ def test_simulation_refuses_a_device_its_event_loop_cannot_finish(start, error, 
     assert error is ConfigError or not isinstance(refused.value, ConfigError)
 
 
-@pytest.mark.parametrize("field", ["x", "y", "z", "tx_power_dbm", "shadow_db"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
-def test_run_gate_refuses_a_non_finite_position_or_power(field, value):
+FIELDS = ("x", "y", "z", "tx_power_dbm", "shadow_db")
+
+
+@pytest.mark.parametrize(
+    "field,value,wrong",
+    [
+        *(
+            pytest.param(field, value, "must be finite", id=f"{value}-{field}")
+            for value in (float("nan"), float("inf"))
+            for field in FIELDS
+        ),
+        # Finite values that overflow later: the square of a coordinate in
+        # the gateway power, or a detect range and an effective power.
+        *(
+            pytest.param(field, value, "must be at most", id=f"{value:g}-{field}")
+            for value in (1e200, -1e200, 1e308, -1e308)
+            for field in FIELDS
+            if abs(value) > 1e300 or field in ("x", "y", "z")
+        ),
+    ],
+)
+def test_run_gate_refuses_a_non_finite_position_or_power(field, value, wrong):
     # A NaN position gives every packet of the device a NaN received power,
     # which no sensitivity test rejects, so its packets would count as received.
     devices = _devices()
     devices[1] = replace(devices[1], **{field: value})
-    with pytest.raises(ValueError, match=f"{field} for device 1 must be finite"):
+    with pytest.raises(ValueError, match=f"{field} for device 1 {wrong}"):
         Simulation(RunConfig(n_devices=2, sim_time_s=50.0), devices)

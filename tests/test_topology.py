@@ -1,21 +1,21 @@
 """Placement, attribute assignment, and vicinity-matrix behaviour."""
 
+import math
+
 import numpy as np
 import pytest
 
 from conftest import device_areas
 from lorapcsma import phy, topology
-from lorapcsma.config import ConfigError
+from lorapcsma.config import ConfigError, RunConfig
 from lorapcsma.kernel import RngStream
 from lorapcsma.topology import (
-    ClusterGeometry,
     GeometryError,
     assign_attributes,
     build_vicinity,
     cluster_sizes,
     load_device_file,
     place_clusters,
-    validate_geometry,
 )
 
 LOSS = phy.LossParams()
@@ -39,16 +39,17 @@ def test_cluster_sizes():
 
 
 def test_place_clusters_respects_geometry():
-    geom = ClusterGeometry(n_areas=3, cluster_radius_m=100.0, ring_radius_m=4000.0)
+    cfg = RunConfig(n_devices=30, n_areas=3, cluster_radius_m=100.0)
     rng = RngStream(11, "placement")
-    positions = place_clusters(30, geom, rng)
+    positions = place_clusters(cfg, rng)
     assert len(positions) == 30
-    centers = geom.centers()
-    for k, (cx, cy) in enumerate(centers):
+    for k in range(3):
+        angle = 2.0 * math.pi * k / 3
+        cx, cy = cfg.ring_radius_m * math.cos(angle), cfg.ring_radius_m * math.sin(angle)
         members = positions[10 * k : 10 * (k + 1)]
         for x, y, z in members:
             assert z == 0.0
-            assert np.hypot(x - cx, y - cy) <= geom.cluster_radius_m + 1e-9
+            assert np.hypot(x - cx, y - cy) <= cfg.cluster_radius_m + 1e-9
 
 
 def test_mutual_visibility_and_hiding():
@@ -73,8 +74,8 @@ def test_mixed_sf_vicinity_can_be_asymmetric():
 
 def test_vicinity_is_a_pure_function_of_inputs():
     rng = RngStream(5, "placement")
-    geom = ClusterGeometry(n_areas=2, cluster_radius_m=150.0, ring_radius_m=4000.0)
-    devices = assign_attributes(place_clusters(12, geom, rng), (8, 9), (100.0, 200.0), 0.5)
+    positions = place_clusters(RunConfig(n_devices=12, n_areas=2), rng)
+    devices = assign_attributes(positions, (8, 9), (100.0, 200.0), 0.5)
     first = build_vicinity(devices, LOSS, TABLE)
     second = build_vicinity(devices, LOSS, TABLE)
     assert np.array_equal(first, second)
@@ -109,7 +110,7 @@ def test_row_blocks_match_the_full_distance_matrix(monkeypatch, block_cells):
 def test_single_cluster_uniform_sf_matrix_symmetric():
     rng = RngStream(6, "placement")
     devices = assign_attributes(
-        place_clusters(15, ClusterGeometry(n_areas=1), rng), (8,), (100.0,), 1.0
+        place_clusters(RunConfig(n_devices=15), rng), (8,), (100.0,), 1.0
     )
     matrix = build_vicinity(devices, LOSS, TABLE)
     assert np.array_equal(matrix, matrix.T)
@@ -117,10 +118,9 @@ def test_single_cluster_uniform_sf_matrix_symmetric():
 
 
 def test_hidden_areas_make_block_diagonal_matrix():
-    geom = ClusterGeometry(n_areas=2, cluster_radius_m=150.0, ring_radius_m=4000.0)
-    validate_geometry(geom, (8,), 14.0, LOSS, TABLE)
+    cfg = RunConfig(n_devices=10, n_areas=2)  # building it checks the geometry
     rng = RngStream(9, "placement")
-    devices = assign_attributes(place_clusters(10, geom, rng), (8,), (100.0,), 1.0)
+    devices = assign_attributes(place_clusters(cfg, rng), (8,), (100.0,), 1.0)
     matrix = build_vicinity(devices, LOSS, TABLE)
     areas = device_areas(10, 2)
     for i in range(10):
@@ -149,18 +149,35 @@ def test_assign_attributes_rejects_bad_p():
 
 
 def test_geometry_error_names_the_violated_bound():
-    tight = ClusterGeometry(n_areas=2, cluster_radius_m=100.0, ring_radius_m=1000.0)
     with pytest.raises(GeometryError, match="detect range"):
-        validate_geometry(tight, (8,), 14.0, LOSS, TABLE)
-    too_far = ClusterGeometry(n_areas=2, cluster_radius_m=100.0, ring_radius_m=6000.0)
+        RunConfig(n_devices=2, n_areas=2, cluster_radius_m=100.0, ring_radius_m=1000.0)
     with pytest.raises(GeometryError, match="gateway"):
-        validate_geometry(too_far, (8,), 14.0, LOSS, TABLE)
+        RunConfig(n_devices=2, n_areas=2, cluster_radius_m=100.0, ring_radius_m=6000.0)
+
+
+@pytest.mark.parametrize(
+    "radii",
+    [
+        {"cluster_radius_m": -1.0},
+        {"ring_radius_m": -1.0},
+        {"n_areas": 2, "ring_radius_m": -4000.0},
+        # With no path loss up to the reference distance, any radius is
+        # covered, but placed coordinates would square past the float range.
+        {"reference_distance_m": 1e300, "cluster_radius_m": 1e200},
+    ],
+)
+def test_radii_must_be_non_negative_and_keep_members_in_float_range(tmp_path, radii):
+    with pytest.raises(GeometryError, match="cluster and ring radii must be non-negative"):
+        RunConfig(n_devices=2, **radii)
+    # A device file fixes the placement, so the radii are not read.
+    path = tmp_path / "devices.txt"
+    path.write_text("0 0 0 0 8 100 1.0\n1 10 0 0 8 100 1.0\n")
+    RunConfig(n_devices=2, device_file=str(path), **radii)
 
 
 def test_default_geometry_feasible_for_common_sf_sets():
-    geom = ClusterGeometry(n_areas=3)
-    validate_geometry(geom, (8,), 14.0, LOSS, TABLE)
-    validate_geometry(geom, (8, 9, 10), 14.0, LOSS, TABLE)
+    RunConfig(n_devices=3, n_areas=3)
+    RunConfig(n_devices=3, n_areas=3, sf_set=(8, 9, 10))
 
 
 def test_device_file_round_trip(tmp_path):
@@ -179,14 +196,20 @@ def test_device_file_round_trip(tmp_path):
     "line,match",
     [
         ("0 0 0 0 8 100", "7 fields"),
-        ("0 0 0 0 6 100 1.0", "spreading factor"),
+        ("0 0 0 0 6 100 1.0", "devices.txt:1: sf must be in 7..12, got 6"),
         ("0 0 0 0 8 100 0.0", "persistence"),
         ("0 0 0 0 8 -5 1.0", "period"),
-        ("0 0 0 0 8 1e-7 1.0", "period must be at least 1 us"),
+        ("0 0 0 0 8 1e-7 1.0", "devices.txt:1: period must be finite and >= 1 us"),
         ("5 0 0 0 8 100 1.0", "consecutive"),
         ("0 nan 0 0 8 100 1.0", "devices.txt:1: x must be finite"),
-        ("0 0 0 0 8 inf 1.0", "devices.txt:1: period_s must be finite"),
-        ("0 0 0 0 8 nan 1.0", "devices.txt:1: period_s must be finite"),
+        ("0 0 0 0 8 inf 1.0", "devices.txt:1: period must be finite"),
+        ("0 0 0 0 8 nan 1.0", "devices.txt:1: period must be finite"),
+        # Finite values that overflow later, as the square of a coordinate or
+        # a period in microseconds.
+        ("0 1e200 0 0 8 100 1.0", "devices.txt:1: x must be at most 1e\\+150 in magnitude"),
+        ("0 0 -1e200 0 8 100 1.0", "devices.txt:1: y must be at most"),
+        ("0 0 0 1e200 8 100 1.0", "devices.txt:1: z must be at most"),
+        ("0 0 0 0 8 1e303 1.0", "devices.txt:1: period must be finite and >= 1 us"),
     ],
 )
 def test_device_file_rejects_bad_rows(tmp_path, line, match):

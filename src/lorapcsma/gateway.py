@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from heapq import heappop
 
 from .metrics import Counters
 from .phy import SF_MAX, SF_MIN, SensitivityTable
@@ -14,6 +15,10 @@ class Outcome(enum.Enum):
     COLLIDED = "collided"
     UNDER_SENSITIVITY = "under_sensitivity"
     NO_DEMOD_PATH = "no_path"
+
+
+# Plain names for the hot path: each ``Outcome.X`` lookup costs a call.
+RECEIVED, COLLIDED, UNDER_SENSITIVITY, NO_DEMOD_PATH = Outcome
 
 
 @dataclass(slots=True)
@@ -56,6 +61,7 @@ class GatewayPhy:
         self.n_paths = n_paths
         self.on_air: dict[int, TxRecord] = {}
         self.bound: dict[int, TxRecord] = {}
+        self.ends_due: list[tuple[int, int, TxRecord]] = []  # (air-end us, seq, packet)
         self.threshold_dbm = dict(zip(range(SF_MIN, SF_MAX + 1), table.gateway))
         self.counters = counters
         self.max_paths_bound = 0
@@ -74,20 +80,28 @@ class GatewayPhy:
         self.on_air[device] = rec
         self.starts += 1
         if rec.prx_dbm < self.threshold_dbm[rec.sf]:
-            rec.outcome = Outcome.UNDER_SENSITIVITY
+            rec.outcome = UNDER_SENSITIVITY
             return
         bound = self.bound
         if len(bound) == self.n_paths:
-            rec.outcome = Outcome.NO_DEMOD_PATH
+            rec.outcome = NO_DEMOD_PATH
             return
-        rec.outcome = Outcome.RECEIVED
+        rec.outcome = RECEIVED
         sf, start = rec.sf, rec.air_start_us
         for other in bound.values():
             if other.sf == sf and other.air_end_us > start:
-                other.outcome = rec.outcome = Outcome.COLLIDED
+                other.outcome = rec.outcome = COLLIDED
         bound[device] = rec
         if len(bound) > self.max_paths_bound:
             self.max_paths_bound = len(bound)
+
+    def expire(self, now_us: int, seq: int) -> None:
+        """End every packet in ``ends_due`` that is due before the kernel event
+        ``(now_us, seq)``: at an earlier us, or at ``now_us`` with a lower
+        ``seq``.  Air-ends are not events; the MAC calls this before it acts."""
+        ends, key = self.ends_due, (now_us, seq)
+        while ends and ends[0] < key:
+            self.on_tx_end(heappop(ends)[2])
 
     def on_tx_end(self, rec: TxRecord) -> Outcome:
         """Take the sender off air, release its path and count its outcome."""
@@ -95,11 +109,11 @@ class GatewayPhy:
         outcome = rec.outcome
         c = self.counters
         c.sent += 1
-        if outcome is Outcome.RECEIVED:
+        if outcome is RECEIVED:
             c.received += 1
-        elif outcome is Outcome.COLLIDED:
+        elif outcome is COLLIDED:
             c.collided += 1
-        elif outcome is Outcome.UNDER_SENSITIVITY:
+        elif outcome is UNDER_SENSITIVITY:
             c.under_sensitivity += 1
         else:
             c.no_path += 1

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from functools import lru_cache
 from heapq import heappop, heappush
 from typing import Callable
 
@@ -31,13 +32,15 @@ def lasts_1us(seconds: float) -> bool:
 class Scheduler:
     """Event queue ordered by (fire time, insertion sequence).
 
-    Each entry is an immutable ``(at_us, seq, fn, args)`` tuple; the
-    sequence counter breaks ties FIFO.
+    Each entry is an immutable ``(at_us, seq, fn, args)`` tuple, the sequence
+    counter breaking ties FIFO; the running event is ``(now_us, seq)``.  A
+    caller that proves ``at_us >= now_us`` may push onto ``heap`` itself.
     """
 
     def __init__(self) -> None:
         self.now_us = 0
-        self._heap: list[tuple] = []
+        self.seq = 0
+        self.heap: list[tuple] = []
         self._seq = 0
         self.executed = 0
 
@@ -51,7 +54,12 @@ class Scheduler:
                 f"cannot schedule event at {at_us} us: clock is at {self.now_us} us"
             )
         self._seq += 1
-        heappush(self._heap, (at_us, self._seq, fn, args))
+        heappush(self.heap, (at_us, self._seq, fn, args))
+
+    def reserve(self) -> int:
+        """The next sequence number, taken without queuing an event."""
+        self._seq += 1
+        return self._seq
 
     def run_until(self, until_us: int) -> int:
         """Execute all events with fire time <= ``until_us`` in order.
@@ -59,11 +67,10 @@ class Scheduler:
         The clock ends at ``until_us`` even if the queue empties earlier;
         later events stay queued.  Returns the number of events executed.
         """
-        heap = self._heap
+        heap = self.heap
         executed = 0
         while heap and heap[0][0] <= until_us:
-            at_us, _, fn, args = heappop(heap)
-            self.now_us = at_us
+            self.now_us, self.seq, fn, args = heappop(heap)
             fn(*args)
             executed += 1
         self.now_us = max(self.now_us, until_us)
@@ -102,12 +109,14 @@ def _mix(x: int, y: int) -> int:
     return result ^ result >> 16
 
 
-def _pcg64_seed(entropy: list[int]) -> tuple[int, int]:
+@lru_cache(maxsize=256)
+def _pcg64_seed(entropy: tuple[int, ...]) -> tuple[int, int]:
     """The 128-bit state and increment of numpy's
     ``PCG64(SeedSequence(entropy))``.
 
     A port of numpy's ``SeedSequence`` (pool of four 32-bit words) and of
     the PCG64 seeding step; numpy's uniform draws serve as the test oracle.
+    Memoised: a sweep seeds many streams from few (seed, label) pairs.
     """
     words = []  # each entry as little-endian 32-bit words; 0 is one word
     for value in entropy:
@@ -159,7 +168,7 @@ class RngStream:
 
     def __init__(self, seed: int, label: str) -> None:
         self.label = label
-        self._entropy = [seed, _label_key(label)]
+        self._entropy = (seed, _label_key(label))
         self._state, self._inc = _pcg64_seed(self._entropy)
         self._gen = None  # numpy's Generator, built at the first non-uniform draw
         self._kind: str | None = None

@@ -22,6 +22,7 @@ is ignored, as the matrix's diagonal is false.
 
 from __future__ import annotations
 
+from heapq import heappush
 from math import sqrt
 
 from . import phy
@@ -76,6 +77,7 @@ class PcsmaMac:
         self.sched = sched
         self.gateway = gateway
         self.on_air = gateway.on_air  # the gateway's map itself, not a copy
+        self.ends_due = gateway.ends_due
         self.persistence = [float(d.persistence) for d in devices]
         loss, table = cfg.loss_params(), cfg.sensitivity_table()
         # (x, y, z, detect range) per device; the range is the device's as a
@@ -134,15 +136,20 @@ class PcsmaMac:
         The ALOHA baseline transmits directly.  Under p-CSMA the first
         attempt on an idle channel transmits unconditionally; a busy channel
         starts a back-off, and persistence gates only the reclaim attempts.
+        An empty channel is not sensed: ``sense`` would find nobody.
         """
+        sched = self.sched
+        if self.ends_due and self.ends_due[0][0] <= sched.now_us:
+            self.gateway.expire(sched.now_us, sched.seq)
         self.counters.generated += 1
-        if device in self.on_air or self.backoff[device]:
+        on_air = self.on_air
+        if device in on_air or self.backoff[device]:
             # One pending packet per device: drop the new one, keep the clock.
             self.counters.suppressed += 1
-            self._schedule_next_generation(device)
-        elif not self.aloha and self.sense(device):
+            if self.periodic:
+                sched.schedule(sched.now_us + self.period_us[device], self.generate, device)
+        elif on_air and not self.aloha and self.sense(device):
             self.backoff[device] = True
-            sched = self.sched
             sched.schedule(sched.now_us + self.sense_us[device], self.retry_claiming, device)
         else:
             self._start_transmission(device)
@@ -155,10 +162,12 @@ class PcsmaMac:
         A busy channel or a failed draw waits one more sensing interval; the
         persistence draw happens only when the channel is idle.
         """
+        sched = self.sched
+        if self.ends_due and self.ends_due[0][0] <= sched.now_us:
+            self.gateway.expire(sched.now_us, sched.seq)
         if not self.sense(device) and shall_it_pass(self.persistence[device], self.rng):
             self._start_transmission(device)
         else:
-            sched = self.sched
             sched.schedule(sched.now_us + self.sense_us[device], self.retry_claiming, device)
 
     # -- transmission ------------------------------------------------------
@@ -169,23 +178,19 @@ class PcsmaMac:
         self.backoff[device] = False
         if self.duty_cycle_enforce and self._duty_exceeded(device, now):
             self.counters.suppressed += 1
-            self._schedule_next_generation(device)
-            return
-        toa = self.toa_us[device]
-        rec = TxRecord(device, self.sf[device], now, now + toa, self.prx_dbm[device])
-        if self.records is not None:
-            self.records.append(rec)
-        gateway = self.gateway
-        gateway.on_tx_start(rec)
-        sched.schedule(now + toa, gateway.on_tx_end, rec)
-        if self.duty_cycle_enforce:
-            self._duty_log[device].append((now, toa))
-        self._schedule_next_generation(device)
-
-    def _schedule_next_generation(self, device: int) -> None:
+        else:
+            toa = self.toa_us[device]
+            rec = TxRecord(device, self.sf[device], now, now + toa, self.prx_dbm[device])
+            if self.records is not None:
+                self.records.append(rec)
+            self.gateway.on_tx_start(rec)
+            heappush(self.ends_due, (now + toa, sched.reserve(), rec))  # no event: see expire
+            if self.duty_cycle_enforce:
+                self._duty_log[device].append((now, toa))
         if self.periodic:
-            sched = self.sched
-            sched.schedule(sched.now_us + self.period_us[device], self.generate, device)
+            # The run gate proves every period >= 1 us: never in the past.
+            at_us = now + self.period_us[device]
+            heappush(sched.heap, (at_us, sched.reserve(), self.generate, (device,)))
 
     # -- duty cycle guard (off by default) ---------------------------------
 

@@ -48,7 +48,7 @@ def build_topology(cfg: RunConfig) -> list[topology.DeviceSpec]:
     seeded from ``cfg.seed``, so this rebuilds the devices of that run.
     """
     if cfg.device_file is not None:
-        devices = topology.load_device_file(cfg.device_file, cfg.tx_power_dbm)
+        devices = topology.load_device_file(cfg.device_file, cfg)
         if cfg.n_devices != len(devices):
             raise ConfigError(
                 f"n_devices={cfg.n_devices} but {cfg.device_file!r} defines {len(devices)} devices"
@@ -123,13 +123,15 @@ class Simulation:
             self._seed_periodic()
         # The simulated window is [0, sim_time): a generation firing at
         # exactly sim_time belongs to the next window and stays queued.
-        self.sched.run_until(us_from_s(self.cfg.sim_time_s) - 1)
+        end_us = us_from_s(self.cfg.sim_time_s)
+        self.sched.run_until(end_us - 1)
+        gateway = self.gateway
+        gateway.expire(end_us, 0)
 
         # Packets without a final outcome when the clock stops: waiting in
-        # back-off or still on air.  On-air ones (air-end not yet fired)
+        # back-off or still on air.  On-air ones (air-end not yet due)
         # release their path and leave the on-air map so conservation holds
         # for every run.
-        gateway = self.gateway
         self.counters.pending_at_end = sum(self.mac.backoff) + len(gateway.on_air)
         for rec in list(gateway.on_air.values()):
             gateway.abort(rec)

@@ -110,16 +110,16 @@ def validate_geometry(cfg: RunConfig) -> None:
         )
         if min_separation <= max_device_range:
             raise GeometryError(
-                f"minimum inter-cluster member distance {min_separation:.1f} m does not "
-                f"exceed the maximum end-device detect range {max_device_range:.1f} m; "
+                f"minimum inter-cluster member distance {min_separation:.4g} m does not "
+                f"exceed the maximum end-device detect range {max_device_range:.4g} m; "
                 "increase ring_radius_m or decrease cluster_radius_m"
             )
     prx_dbm = phy.received_power_dbm(cfg.tx_power_dbm, max_gw_dist, loss)
     threshold_dbm, sf = max((table.threshold_dbm(sf, phy.GATEWAY), sf) for sf in cfg.sf_set)
     if prx_dbm < threshold_dbm:
         raise GeometryError(
-            f"cluster members may sit up to {max_gw_dist:.1f} m from the gateway and arrive at "
-            f"{prx_dbm:.1f} dBm, below the SF{sf} gateway sensitivity {threshold_dbm:.1f} dBm; "
+            f"cluster members may sit up to {max_gw_dist:.4g} m from the gateway and arrive at "
+            f"{prx_dbm:.4g} dBm, below the SF{sf} gateway sensitivity {threshold_dbm:.4g} dBm; "
             "shrink ring_radius_m or cluster_radius_m, or raise tx_power_dbm"
         )
 
@@ -227,15 +227,14 @@ def build_vicinity(
     return matrix
 
 
-def load_device_file(
-    path: str | Path,
-    tx_power_dbm: float = phy.DEFAULT_TX_POWER_DBM,
-) -> list[DeviceSpec]:
+def load_device_file(path: str | Path, cfg: RunConfig) -> list[DeviceSpec]:
     """Explicit device list: one device per line ``id x y z sf period_s p``.
 
     Fields may be separated by whitespace or commas; ``#`` starts a comment.
-    Ids must be the consecutive indices 0..N-1 (any input order).
+    Ids must be the consecutive indices 0..N-1 (any input order).  Devices send
+    at ``cfg.tx_power_dbm``; an automatic sensing interval must reach 1 us.
     """
+    radio = cfg.radio_params()
     rows = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -254,10 +253,14 @@ def load_device_file(
             raise ConfigError(f"{path}:{lineno}: {exc}") from None
         if dev_id in rows:
             raise ConfigError(f"{path}:{lineno}: duplicate device id {dev_id}")
-        rows[dev_id] = DeviceSpec(x, y, z, sf, tx_power_dbm, period_s, p)
+        rows[dev_id] = DeviceSpec(x, y, z, sf, cfg.tx_power_dbm, period_s, p)
         problem = device_problem(rows[dev_id])
         if problem is not None:
             raise ConfigError(f"{path}:{lineno}: {' '.join(problem)}")
+        interval_s = phy.sensing_interval_s(sf, radio)
+        if cfg.sensing_interval_s is None and not lasts_1us(interval_s):
+            wrong = f"must be at least 1 us, got {interval_s:.3g} s at SF{sf} (half the airtime)"
+            raise ConfigError(f"{path}:{lineno}: sensing interval {wrong}")
     if sorted(rows) != list(range(len(rows))):
         raise ConfigError(f"{path}: device ids must be consecutive from 0")
     return [rows[i] for i in range(len(rows))]

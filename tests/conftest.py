@@ -7,7 +7,9 @@ from dataclasses import replace
 
 from lorapcsma import topology
 from lorapcsma.config import RunConfig
-from lorapcsma.simulation import Simulation
+from lorapcsma.gateway import TxRecord
+from lorapcsma.mac import PcsmaMac
+from lorapcsma.simulation import RunResult, Simulation, build_topology
 
 
 def devices_at(positions, sf=8, period_s=100.0, p=1.0, tx_power_dbm=14.0):
@@ -66,3 +68,35 @@ def overlapping_pairs(records):
             if ra.air_start_us < rb.air_end_us and rb.air_start_us < ra.air_end_us:
                 pairs.append((a, b))
     return pairs
+
+
+class EagerAirEndMac(PcsmaMac):
+    """The reference MAC for lazy expiry: each air-end is its own kernel
+    event, booked with ``Scheduler.schedule`` at air-start, and so is each
+    next generation.  ``ends_due`` stays empty, so ``expire`` never runs."""
+
+    def _start_transmission(self, device: int) -> None:
+        sched = self.sched
+        now = sched.now_us
+        self.backoff[device] = False
+        if self.duty_cycle_enforce and self._duty_exceeded(device, now):
+            self.counters.suppressed += 1
+        else:
+            toa = self.toa_us[device]
+            rec = TxRecord(device, self.sf[device], now, now + toa, self.prx_dbm[device])
+            if self.records is not None:
+                self.records.append(rec)
+            self.gateway.on_tx_start(rec)
+            sched.schedule(now + toa, self.gateway.on_tx_end, rec)
+            if self.duty_cycle_enforce:
+                self._duty_log[device].append((now, toa))
+        if self.periodic:
+            sched.schedule(now + self.period_us[device], self.generate, device)
+
+
+def run_with_eager_air_ends(cfg: RunConfig) -> RunResult:
+    """``run_scenario(cfg)`` under ``EagerAirEndMac``."""
+    sim = Simulation(cfg, build_topology(cfg))
+    m = sim.mac
+    sim.mac = EagerAirEndMac(cfg, sim.devices, sim.sched, sim.gateway, m.counters, m.records, m.rng)
+    return sim.run()

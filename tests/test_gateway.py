@@ -1,5 +1,7 @@
 """The on-air map, demodulation paths and the four reception outcomes."""
 
+import heapq
+
 import pytest
 
 from lorapcsma.gateway import GatewayPhy, Outcome, TxRecord
@@ -23,6 +25,25 @@ def test_gateway_starts_with_nobody_on_air():
     gw, _ = make_gateway()
     assert gw.on_air == {} and gw.bound == {}
     assert gw.starts == gw.ends == 0
+
+
+def test_expire_ends_exactly_the_packets_booked_before_the_running_event():
+    # Air-ends keep the kernel's (us, seq) order: at the running event's
+    # microsecond, an end booked before it (lower seq) has happened, and one
+    # booked after it has not.
+    gw, counters = make_gateway()
+    earlier, before, after, later = rec(0, 0), rec(1, 5), rec(2, 5), rec(3, 9)
+    for r, seq in ((earlier, 4), (before, 6), (after, 8), (later, 3)):
+        gw.on_tx_start(r)
+        heapq.heappush(gw.ends_due, (r.air_end_us, seq, r))
+    gw.expire(TOA + 5, 7)  # the running event
+    assert sorted(gw.on_air) == [2, 3] and counters.sent == 2
+    gw.expire(TOA + 5, 9)
+    assert sorted(gw.on_air) == [3]
+    gw.expire(TOA + 9, 0)  # the end of a run: nothing at its own microsecond
+    assert sorted(gw.on_air) == [3] and [e[2] for e in gw.ends_due] == [later]
+    gw.expire(TOA + 10, 0)
+    assert gw.on_air == {} and gw.ends_due == [] and counters.sent == 4
 
 
 def test_double_start_and_unknown_end_are_errors():

@@ -1,5 +1,6 @@
 """Property tests: accepted random configs terminate, conserve and replay;
-carrier sensing agrees with the vicinity-matrix oracle."""
+lazy air-end expiry agrees with air-end events; carrier sensing agrees with
+the vicinity-matrix oracle."""
 
 import io
 import math
@@ -8,6 +9,7 @@ from dataclasses import fields
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+from conftest import run_with_eager_air_ends
 from lorapcsma import phy
 from lorapcsma.config import ConfigError, RunConfig
 from lorapcsma.gateway import Outcome, TxRecord
@@ -110,6 +112,58 @@ def test_accepted_configs_terminate_conserve_and_replay(cfg):
     assert unlogged.records is None
     assert unlogged.counters == c
     assert unlogged.audit == audit
+
+
+@st.composite
+def tie_prone_configs(draw):
+    """Periodic configs whose events often share a microsecond: shared
+    periods, zero offsets in half the draws, and sensing intervals of one or
+    two airtimes, so polls land on air-ends."""
+    sf_set = tuple(draw(st.lists(st.integers(7, 10), min_size=1, max_size=3, unique=True)))
+    airtimes = draw(st.none() | st.sampled_from((1.0, 2.0)))
+    toa_s = phy.time_on_air(draw(st.sampled_from(sf_set)), phy.RadioParams())
+    fields = dict(
+        n_devices=draw(st.integers(2, 40)),
+        n_areas=draw(st.integers(1, 3)),
+        mac=draw(st.sampled_from(("pcsma", "aloha"))),
+        offsets=draw(st.sampled_from(("zero", "uniform"))),
+        sf_set=sf_set,
+        gateway_paths=draw(st.integers(1, 2)),
+        period_set_s=draw(st.sampled_from(((10.0,), (10.0, 20.0), (5.0, 7.5)))),
+        p=draw(st.sampled_from((0.25, 0.5, 1.0))),
+        sensing_interval_s=None if airtimes is None else airtimes * toa_s,
+        sim_time_s=draw(st.floats(20.0, 120.0)),
+        seed=draw(st.integers(0, 2**31)),
+    )
+    try:
+        return RunConfig(**fields)
+    except ConfigError:
+        reject()
+
+
+@settings(max_examples=100, deadline=None)
+@given(tie_prone_configs())
+# Two devices that hear each other, a poll one airtime after a busy sense
+# and packets that end between the last event and the end of the run.
+@example(
+    RunConfig(
+        n_devices=2,
+        offsets="zero",
+        sf_set=(8,),
+        period_set_s=(10.0,),
+        p=1.0,
+        sensing_interval_s=phy.time_on_air(8, phy.RadioParams()),
+        sim_time_s=30.5,
+    )
+)
+def test_lazy_air_ends_match_air_end_events(cfg):
+    # Expiring packets at the next MAC event, in (us, seq) order, must give
+    # the run that an air-end event per packet gives, tie for tie.
+    lazy, eager = run_scenario(cfg), run_with_eager_air_ends(cfg)
+    assert _trace(lazy) == _trace(eager)
+    assert lazy.counters == eager.counters
+    # Every packet that ended inside the run was one eager event.
+    assert eager.audit.events_executed == lazy.audit.events_executed + lazy.counters.sent
 
 
 SF10_RANGE_M = phy.detect_range_m(10, phy.END_DEVICE, 14.0, phy.LossParams(), phy.SensitivityTable())

@@ -445,6 +445,19 @@ def test_cli_device_file_position_that_overflows_exits_2_naming_the_line(tmp_pat
     assert f"{devices}:1: x must be at most" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_cli_device_file_sensing_interval_below_1us_exits_2_naming_the_line(tmp_path):
+    # SF7 is outside sf_set; under a 10 GHz bandwidth half its airtime
+    # rounds to 0 us.  The file names the fault, not the run gate.
+    devices = tmp_path / "devices.txt"
+    devices.write_text("0 0 0 0 7 100 1.0\n")
+    config = tmp_path / "scenario.cfg"
+    config.write_text(f"n_devices = 1\nsf_set = {{12}}\nbandwidth_hz = 1e10\ndevice_file = {devices}\n")
+    proc = _run_cli("run", "--config", str(config))
+    assert proc.returncode == 2
+    assert f"{devices}:1: sensing interval must be at least 1 us" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_device_file_poisson_gap_uses_device_0s_sf(tmp_path):
     # validate() checks the gap at sf_set[0] = SF12 (1.5 us, accepted), but
     # the arrivals run at device 0's SF7, whose gap rounds to 0 us.

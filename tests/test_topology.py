@@ -1,6 +1,7 @@
 """Placement, attribute assignment, and vicinity-matrix behaviour."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -155,6 +156,14 @@ def test_geometry_error_names_the_violated_bound():
         RunConfig(n_devices=2, n_areas=2, cluster_radius_m=100.0, ring_radius_m=6000.0)
 
 
+@pytest.mark.parametrize("keywords", [{"cluster_radius_m": 1e100}, {"tx_power_dbm": -1e299}])
+def test_geometry_error_stays_short_for_huge_values(keywords):
+    with pytest.raises(GeometryError) as info:
+        RunConfig(n_devices=1, **keywords)
+    message = str(info.value)
+    assert len(message) < 200 and "ring_radius_m or cluster_radius_m" in message
+
+
 @pytest.mark.parametrize(
     "radii",
     [
@@ -187,7 +196,7 @@ def test_device_file_round_trip(tmp_path):
         "0 0 0 0 8 100 1.0\n"
         "1, 5000, 0, 0, 9, 200, 0.5\n"
     )
-    devices = load_device_file(path)
+    devices = load_device_file(path, RunConfig(n_devices=2))
     assert [d.sf for d in devices] == [8, 9]
     assert devices[1].x == 5000.0 and devices[1].persistence == 0.5
 
@@ -216,4 +225,17 @@ def test_device_file_rejects_bad_rows(tmp_path, line, match):
     path = tmp_path / "devices.txt"
     path.write_text(line + "\n")
     with pytest.raises(ConfigError, match=match):
-        load_device_file(path)
+        load_device_file(path, RunConfig(n_devices=1))
+
+
+def test_device_file_checks_the_automatic_sensing_interval_of_each_row(tmp_path):
+    # Under a 10 GHz bandwidth, half the SF7 airtime rounds to 0 us while
+    # SF12's (the config's sf_set) lasts.
+    path = tmp_path / "devices.txt"
+    path.write_text("0 0 0 0 12 100 1.0\n1 0 0 0 7 100 1.0\n")
+    cfg = RunConfig(n_devices=2, sf_set=(12,), bandwidth_hz=1e10)
+    match = "devices.txt:2: sensing interval must be at least 1 us, got .* at SF7"
+    with pytest.raises(ConfigError, match=match):
+        load_device_file(path, cfg)
+    # A set interval was checked with the config and holds for every SF.
+    assert len(load_device_file(path, replace(cfg, sensing_interval_s=0.01))) == 2

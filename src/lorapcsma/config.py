@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import phy
-from .kernel import US_PER_S, lasts_1us
+from .kernel import EXPONENTIAL_MAX, US_PER_S, lasts_1us
 from .topology import MAX_LEVEL_DB, ConfigError, validate_geometry
 
 # The allowed values of every enumerated key, for the parser and validate().
@@ -125,11 +125,13 @@ class RunConfig:
         """Mean gap between aggregate Poisson arrivals: one airtime at ``sf``
         divided by ``offered_load``."""
         gap_s = phy.time_on_air(sf, self.radio_params()) / self.offered_load
-        # A gap that rounds to 0 us would schedule every arrival at one tick.
-        if not lasts_1us(gap_s):
+        # A gap that rounds to 0 us would schedule every arrival at one tick,
+        # and a drawn gap (at most EXPONENTIAL_MAX means) must convert to us.
+        if not (lasts_1us(gap_s) and math.isfinite(gap_s * EXPONENTIAL_MAX * US_PER_S)):
             raise ConfigError(
                 f"offered_load {self.offered_load:g} makes the mean Poisson gap "
-                f"{gap_s:.3g} s at SF{sf}, below 1 us or not finite in microseconds"
+                f"{gap_s:.3g} s at SF{sf}: it must be at least 1 us, and "
+                f"{EXPONENTIAL_MAX:.4g} times it finite in microseconds"
             )
         return gap_s
 

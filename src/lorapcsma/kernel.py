@@ -144,8 +144,13 @@ def _pcg64_seed(entropy: tuple[int, ...]) -> tuple[int, int]:
     return (state * _PCG64_MULT + inc) & _MASK128, inc
 
 
-# Values drawn from numpy's generator per refill of an exponential block.
+# Values drawn per refill of an exponential block.
 RNG_BLOCK = 256
+# The right edge of numpy's exponential ziggurat: strip 0 draws past it from
+# the tail, and the tail at the largest uniform value, 1 - 2**-53, is the
+# largest value a standard exponential draw can take.
+ZIGGURAT_EXP_R = 7.69711747013104972
+EXPONENTIAL_MAX = ZIGGURAT_EXP_R - math.log1p(-(1 - 2**-53))
 
 
 class RngStream:
@@ -156,21 +161,23 @@ class RngStream:
     index) -> value holds across platforms.  Distinct labels under the same
     seed give distinct sequences.
 
-    Uniform draws come from a pure-Python port of that generator, so a run
-    that draws only uniform values never imports numpy.  Exponential and
-    normal draws use numpy's ``Generator`` over the same seeding, imported
-    at the stream's first such draw: numpy's ziggurat tables are not
-    reproduced here.  Exponential values are drawn in blocks of
-    ``RNG_BLOCK`` and served one by one, each equal to the value a scalar
-    draw would have returned.  A stream serves one distribution only, so
-    the two implementations never share a stream.
+    Uniform and exponential draws come from a pure-Python port of that
+    generator, so a run that draws no normal values never imports numpy.
+    Exponential draws port numpy's ziggurat (``random_standard_exponential``)
+    over numpy's own tables in ``lorapcsma.ziggurat``, imported at the
+    stream's first exponential draw; ``tests/test_kernel.py`` proves tables
+    and port against numpy with a scripted bit generator.  They are drawn
+    in blocks of ``RNG_BLOCK`` and served one by one, each equal to the
+    value numpy's scalar draw would have returned.  Normal draws
+    (shadowing) use numpy's ``Generator`` over the same seeding, imported
+    at the first such draw.  A stream serves one distribution only.
     """
 
     def __init__(self, seed: int, label: str) -> None:
         self.label = label
         self._entropy = (seed, _label_key(label))
         self._state, self._inc = _pcg64_seed(self._entropy)
-        self._gen = None  # numpy's Generator, built at the first non-uniform draw
+        self._gen = None  # numpy's Generator, built at the first normal draw
         self._kind: str | None = None
         self._block: list[float] = []  # next value last
 
@@ -181,14 +188,6 @@ class RngStream:
             raise RuntimeError(
                 f"stream {self.label!r} draws {self._kind} values, not {kind} values"
             )
-
-    def _numpy_generator(self, kind: str):
-        self._claim(kind)
-        if self._gen is None:
-            import numpy as np
-
-            self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self._entropy)))
-        return self._gen
 
     def uniform(self) -> float:
         """Next value, uniform on [0, 1): the top 53 bits of the next output."""
@@ -204,9 +203,42 @@ class RngStream:
     def exponential(self, mean: float) -> float:
         block = self._block
         if not block:
-            draws = self._numpy_generator("exponential").standard_exponential(RNG_BLOCK)
-            self._block = block = draws[::-1].tolist()
+            self._claim("exponential")
+            self._block = block = self._standard_exponentials()
         return mean * block.pop()
 
+    def _standard_exponentials(self) -> list[float]:
+        """The next ``RNG_BLOCK`` standard exponential values, next value last."""
+        from .ziggurat import FE, KE, WE
+
+        state, inc, out = self._state, self._inc, []
+        while len(out) < RNG_BLOCK:
+            state = (state * _PCG64_MULT + inc) & _MASK128
+            word = ((state >> 64) ^ state) & _MASK64
+            # As in uniform(): bits 3..10 of the output pick the strip, 11..63 are ri.
+            bits = word * _TWO_COPIES >> ((state >> 122) + 3)
+            idx = bits & 0xFF
+            ri = bits >> 8 & _MASK53
+            x = ri * WE[idx]
+            if ri < KE[idx]:
+                out.append(x)
+                continue
+            state = (state * _PCG64_MULT + inc) & _MASK128
+            word = ((state >> 64) ^ state) & _MASK64
+            u = (word * _TWO_COPIES >> ((state >> 122) + 11) & _MASK53) * 2.0**-53
+            if idx == 0:
+                out.append(ZIGGURAT_EXP_R - math.log1p(-u))
+            elif (FE[idx - 1] - FE[idx]) * u + FE[idx] < math.exp(-x):
+                out.append(x)
+            # Otherwise numpy draws again from the start.
+        self._state = state
+        out.reverse()
+        return out
+
     def normal(self, sigma: float) -> float:
-        return float(self._numpy_generator("normal").normal(0.0, sigma))
+        self._claim("normal")
+        if self._gen is None:
+            import numpy as np
+
+            self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self._entropy)))
+        return float(self._gen.normal(0.0, sigma))

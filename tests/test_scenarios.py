@@ -3,6 +3,7 @@
 import io
 import os
 import signal
+import struct
 import subprocess
 import sys
 import time
@@ -16,6 +17,7 @@ from conftest import devices_at, overlapping_pairs, vicinity_of
 from lorapcsma import cli, phy, sweep
 from lorapcsma.config import ConfigError, RunConfig, SweepGrid
 from lorapcsma.gateway import GatewayPhy, Outcome
+from lorapcsma.kernel import EXPONENTIAL_MAX, RngStream
 from lorapcsma.metrics import compute_prr, write_csv, write_trace
 from lorapcsma.simulation import RunAudit, Simulation, build_topology, run_scenario
 from lorapcsma.sweep import aloha_validation, result_row, run_sweep
@@ -472,6 +474,37 @@ def test_device_file_poisson_gap_uses_device_0s_sf(tmp_path):
     assert "offered_load" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("seed", ["1", "6"])
+def test_a_poisson_gap_whose_largest_draw_overflows_is_a_config_error(seed):
+    # The mean gap, 9.4e301 s, is finite in us, but a draw of ~1.9 means
+    # is not: each seed's run would meet one.
+    proc = _run_cli("validate-aloha", "--g", "1.1e-303", "--packet-times", "100", "--seed", seed)
+    assert proc.returncode == 2
+    assert "offered_load" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_the_smallest_accepted_offered_load_runs(monkeypatch):
+    def config(bits):
+        load = struct.unpack("<d", struct.pack("<Q", bits))[0]
+        return RunConfig(n_devices=2, traffic="poisson", offered_load=load, sim_time_s=10.0)
+
+    # Positive floats sort as their bit patterns: bisect for the least load.
+    lo, hi = 1, struct.unpack("<Q", struct.pack("<d", 1.0))[0]  # refused, accepted
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            config(mid)
+            hi = mid
+        except ConfigError:
+            lo = mid
+    cfg = config(hi)
+    assert 1e-303 < cfg.offered_load < 1e-301
+    assert run_scenario(cfg).counters.generated == 0
+    # Even at the largest draw a standard exponential can return.
+    monkeypatch.setattr(RngStream, "exponential", lambda self, mean: mean * EXPONENTIAL_MAX)
+    assert run_scenario(cfg).counters.generated == 0
+
+
 def test_gateway_paths_config_limits_concurrency():
     from conftest import devices_at, hidden_star_positions, make_sim
 
@@ -607,6 +640,48 @@ def test_periodic_runs_and_sweeps_need_no_numpy(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
     assert len(out.read_text().splitlines()) == 1 + 16 * 2 + 16 * 2
+    # In the process that ran it, numpy and the ziggurat tables stay unloaded.
+    check = (
+        "import sys; from lorapcsma import cli; assert cli.main(sys.argv[1:]) == 0; "
+        "assert {'numpy', 'lorapcsma.ziggurat'}.isdisjoint(sys.modules), 'loaded'"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", check, "sweep", "--config", str(config), "--grid", str(grid), "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_poisson_runs_and_aloha_sweeps_need_no_numpy(tmp_path):
+    # Exponential draws are pure Python, so a Poisson run and a two-point
+    # validate-aloha (one forked worker on two CPUs) write the same bytes
+    # with numpy blocked as with numpy importable.
+    config = tmp_path / "poisson.cfg"
+    config.write_text("n_devices = 20\nsim_time_s = 300\ntraffic = poisson\nsf_set = {8}\noffered_load = 0.5\n")
+    outputs = {}
+    for blocked in (True, False):
+        run_out, trace, aloha = (tmp_path / f"{name}-{blocked}" for name in ("run.csv", "trace.tsv", "aloha.csv"))
+        stdouts = []
+        for argv in (
+            ["run", "--config", str(config), "--mode", "aloha", "--out", str(run_out), "--trace", str(trace)],
+            ["validate-aloha", "--g", "0.25,0.5", "--packet-times", "2000", "--out", str(aloha)],
+        ):
+            entry = ["-c", NUMPY_BLOCKED_CLI] if blocked else ["-m", "lorapcsma.cli"]
+            proc = subprocess.run(
+                [sys.executable, *entry, *argv],
+                env={**os.environ, "PYTHONPATH": str(SRC)},
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            stdouts.append(proc.stdout)
+        outputs[blocked] = stdouts + [path.read_bytes() for path in (run_out, trace, aloha)]
+    assert outputs[True] == outputs[False]
+    assert outputs[True][3].count(b"\n") > 1000  # the trace holds the run's packets
 
 
 def test_cli_validate_aloha(tmp_path, capsys):

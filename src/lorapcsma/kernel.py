@@ -8,7 +8,6 @@ deterministic.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from functools import lru_cache
 from heapq import heappop, heappush
@@ -78,9 +77,26 @@ class Scheduler:
         return executed
 
 
+# The keys of the simulator's four stream labels, precomputed: importing
+# hashlib loads OpenSSL, ~3.7 MB and a few ms of each command's set-up.
+# tests/test_kernel.py recomputes them.
+_LABEL_KEYS = {
+    "placement": 0x1480FB125459CBCA,
+    "traffic": 0x075F4AB854E2A33C,
+    "persistence": 0x0D2A4D0E13A3E16B,
+    "shadowing": 0x6DD015A84CAC1A9A,
+}
+
+
 def _label_key(label: str) -> int:
-    # Stable across platforms and runs, unlike hash().
-    return int.from_bytes(hashlib.sha256(label.encode()).digest()[:8], "big")
+    """The first 8 bytes of the label's SHA-256, big-endian: stable across
+    platforms and runs, unlike hash()."""
+    key = _LABEL_KEYS.get(label)
+    if key is None:
+        import hashlib
+
+        key = int.from_bytes(hashlib.sha256(label.encode()).digest()[:8], "big")
+    return key
 
 
 _MASK32 = (1 << 32) - 1

@@ -37,7 +37,13 @@ DUTY_WINDOW_US = 3600 * US_PER_S
 
 
 def shall_it_pass(p: float, rng: RngStream) -> bool:
-    """Persistence gate for reclaim attempts: pass iff rand < p."""
+    """Persistence gate for reclaim attempts: pass iff rand < p.
+
+    This is the only place where p enters a run.  Every draw comes from the
+    run's one persistence stream, so two runs that differ only in p are the
+    same run as long as every drawn value decides alike under both p
+    (``u < p`` iff ``u < p'``); ``sweep`` reuses runs on that ground.
+    """
     return rng.uniform() < p
 
 
@@ -106,6 +112,7 @@ class PcsmaMac:
         self.duty_cycle_enforce = cfg.duty_cycle_enforce
 
         self.backoff = [False] * n
+        self.persistence_draws = 0  # values drawn for shall_it_pass
         self._duty_log: list[list[tuple[int, int]]] = [[] for _ in range(n)]
 
     # -- sensing ---------------------------------------------------------
@@ -165,10 +172,12 @@ class PcsmaMac:
         sched = self.sched
         if self.ends_due and self.ends_due[0][0] <= sched.now_us:
             self.gateway.expire(sched.now_us, sched.seq)
-        if not self.sense(device) and shall_it_pass(self.persistence[device], self.rng):
-            self._start_transmission(device)
-        else:
-            sched.schedule(sched.now_us + self.sense_us[device], self.retry_claiming, device)
+        if not self.sense(device):
+            self.persistence_draws += 1
+            if shall_it_pass(self.persistence[device], self.rng):
+                self._start_transmission(device)
+                return
+        sched.schedule(sched.now_us + self.sense_us[device], self.retry_claiming, device)
 
     # -- transmission ------------------------------------------------------
 

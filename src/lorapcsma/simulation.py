@@ -26,6 +26,7 @@ class RunAudit:
     max_paths_bound: int = 0
     channel_clear: bool = True
     events_executed: int = 0
+    persistence_draws: int = 0
 
     def check(self) -> None:
         if self.book_count != self.free_count or not self.channel_clear:
@@ -143,6 +144,7 @@ class Simulation:
             max_paths_bound=gateway.max_paths_bound,
             channel_clear=not gateway.on_air,
             events_executed=self.sched.executed,
+            persistence_draws=self.mac.persistence_draws,
         )
         audit.check()
         return RunResult(counters=self.counters, records=self.records, audit=audit)

@@ -4,18 +4,16 @@ from __future__ import annotations
 
 import math
 import os
-import pickle
-import signal
-import statistics
 from contextlib import suppress
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import product
 from typing import BinaryIO
 
 from . import phy
 from .config import ConfigError, RunConfig, SweepGrid
+from .kernel import RngStream
 from .metrics import Counters, compute_prr
-from .simulation import run_scenario
+from .simulation import STREAM_PERSISTENCE, run_scenario
 
 
 def _fmt_set(values) -> str:
@@ -72,14 +70,67 @@ def _cpu_count() -> int:
     return 1
 
 
-def _run_share(points: list[RunConfig]) -> list[Counters]:
-    return [run_scenario(point, keep_records=False).counters for point in points]
+# The fields a run depends on besides a scalar p, in RunConfig order.
+_NOT_P = tuple(f.name for f in fields(RunConfig) if f.name != "p")
 
 
-def _fork_worker(points: list[RunConfig]) -> tuple[int, BinaryIO]:
-    """Fork a child that runs ``points`` and pickles into a pipe either
+def _group_key(point: RunConfig) -> tuple | None:
+    """What ``point``'s run depends on besides its p, or None if p is per
+    device or a device file lists the devices (and their persistence)."""
+    if point.device_file is not None or isinstance(point.p, tuple):
+        return None
+    return tuple(getattr(point, name) for name in _NOT_P)
+
+
+def _alike_p(point: RunConfig, draws: int) -> tuple[float, float]:
+    """The interval (lo, hi] of p under which each of the first ``draws``
+    values of ``point``'s persistence stream decides ``u < p`` as it does
+    under ``point.p``: the p whose run is ``point``'s run."""
+    rng = RngStream(point.seed, STREAM_PERSISTENCE)
+    lo, hi = 0.0, 1.0  # every p lies in (0, 1]
+    for _ in range(draws):
+        u = rng.uniform()
+        if u < point.p:
+            lo = max(lo, u)
+        else:
+            hi = min(hi, u)
+    return lo, hi
+
+
+def _run_group(points: list[RunConfig]) -> list[Counters]:
+    """The counters of ``points``, which differ at most in a scalar p.
+
+    p enters a run only at the persistence gate (``mac.shall_it_pass``),
+    and every value drawn there comes from the run's one persistence
+    stream.  So a point whose p decides every value a run drew as that
+    run's p did is that run, value for value: it takes the run's counters
+    instead of simulating.
+    """
+    runs: list[tuple[float, float, Counters]] = []  # (lo, hi, counters) per run
+    out = []
+    for k, point in enumerate(points):
+        counters = next((c for lo, hi, c in runs if lo < point.p <= hi), None)
+        if counters is None:
+            result = run_scenario(point, keep_records=False)
+            counters = result.counters
+            if k + 1 < len(points):  # else no point is left to reuse it
+                runs.append((*_alike_p(point, result.audit.persistence_draws), counters))
+        out.append(counters)
+    return out
+
+
+def _run_share(points: list[RunConfig], share: list[list[int]]) -> list[Counters]:
+    """The counters of each group in ``share`` (indices into ``points``),
+    group after group."""
+    return [c for members in share for c in _run_group([points[i] for i in members])]
+
+
+def _fork_worker(points: list[RunConfig], share: list[list[int]]) -> tuple[int, BinaryIO]:
+    """Fork a child that runs ``share`` and pickles into a pipe either
     ``(True, counters)`` or ``(False, exception)``; return its pid and the
     pipe's read end.  The child never returns into the caller's code."""
+    import pickle
+
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -91,7 +142,7 @@ def _fork_worker(points: list[RunConfig]) -> tuple[int, BinaryIO]:
         try:
             os.close(read_fd)
             try:
-                reply = pickle.dumps((True, _run_share(points)))
+                reply = pickle.dumps((True, _run_share(points, share)))
             except BaseException as exc:  # re-raised by the parent
                 try:
                     reply = pickle.dumps((False, exc))
@@ -108,18 +159,30 @@ def _fork_worker(points: list[RunConfig]) -> tuple[int, BinaryIO]:
 def _run_all(points: list[RunConfig]) -> list[Counters]:
     """Run each point without its transmission log.
 
-    The runs are split over the CPUs in the affinity mask, at most one
-    worker per point: worker k runs ``points[k::n]``, worker 0 in this
-    process and the others in forked children, and the counters come back
-    in point order, so the result does not depend on the number of workers.
-    If anything raises here, every child still running is killed and every
-    child is reaped before the error propagates."""
-    n = max(1, min(_cpu_count(), len(points)))
+    Points that differ only in a scalar p form a group, which one worker
+    runs (see ``_run_group``).  The groups are dealt over the CPUs in the
+    affinity mask, at most one worker per group, in serpentine order (two
+    workers take groups 0, 1, 1, 0, 0, 1, ...), so neither gets every
+    other group of a grid whose last dimension is the seed.  Worker 0 runs
+    in this process and the others in forked children, and the counters
+    come back in point order, so the result does not depend on the number
+    of workers.  If anything raises here, every child still running is
+    killed and every child is reaped before the error propagates."""
+    groups: dict = {}  # key -> indices of the points, in point order
+    for i, point in enumerate(points):
+        key = _group_key(point)
+        groups.setdefault(i if key is None else key, []).append(i)
+    n = max(1, min(_cpu_count(), len(groups)))
+    shares: list[list[list[int]]] = [[] for _ in range(n)]
+    for g, members in enumerate(groups.values()):
+        lap, k = divmod(g, n)
+        shares[n - 1 - k if lap % 2 else k].append(members)
+    counters: list[Counters] = []  # in share order
     workers: list[tuple[int, BinaryIO]] = []  # children not yet reaped
     try:
-        for k in range(1, n):
-            workers.append(_fork_worker(points[k::n]))
-        shares = [_run_share(points[::n])]
+        for share in shares[1:]:
+            workers.append(_fork_worker(points, share))
+        counters += _run_share(points, shares[0])
         while workers:
             pid, pipe = workers[0]
             with pipe:
@@ -129,10 +192,12 @@ def _run_all(points: list[RunConfig]) -> list[Counters]:
             if not reply:
                 code = os.waitstatus_to_exitcode(status)
                 raise RuntimeError(f"sweep worker {pid} died without a result (exit code {code})")
+            import pickle
+
             ok, payload = pickle.loads(reply)
             if not ok:
                 raise payload
-            shares.append(payload)
+            counters += payload
     finally:
         # A child reaped just before an interrupt is still listed.  Kill a
         # pid only while it is still an unreaped child of this process: once
@@ -141,9 +206,13 @@ def _run_all(points: list[RunConfig]) -> list[Counters]:
             pipe.close()
             with suppress(ChildProcessError):
                 if os.waitpid(pid, os.WNOHANG) == (0, 0):
+                    import signal
+
                     os.kill(pid, signal.SIGKILL)
                     os.waitpid(pid, 0)
-    return [shares[i % n][i // n] for i in range(len(points))]
+    order = [i for share in shares for members in share for i in members]
+    by_point = dict(zip(order, counters))
+    return [by_point[i] for i in range(len(points))]
 
 
 def run_sweep(base_cfg: RunConfig, grid: SweepGrid) -> list[dict]:
@@ -173,6 +242,8 @@ def run_sweep(base_cfg: RunConfig, grid: SweepGrid) -> list[dict]:
             for seed in grid.seeds
         ]
     counters = iter(_run_all([point for points in cells.values() for point in points]))
+    import statistics
+
     rows: list[dict] = []
     for name, points in cells.items():
         prrs = []

@@ -32,6 +32,9 @@ ALL_OUTCOMES_TRACE_SHA256 = {
 # adds events per packet fails here, whatever the host's timing noise.
 # Lower a ceiling when a change saves work; raise one only with a reason.
 MAX_EVENTS = {"mixed_sf": 989, "dense": 1844, "pcsma": 1238, "aloha": 440}
+# Simulated runs of the golden sweep's 32 points: a point whose p decides
+# every persistence draw of a run of its group as that run did reuses it.
+MAX_SWEEP_RUNS = 21
 
 
 def _sha256(write, data) -> str:
@@ -52,8 +55,19 @@ def _golden_sweep_rows() -> list[dict]:
     return run_sweep(base, grid)
 
 
-def test_sweep_csv_matches_golden_digest():
-    assert _sha256(write_csv, _golden_sweep_rows()) == SWEEP_CSV_SHA256
+def test_sweep_csv_matches_golden_digest(monkeypatch):
+    runs = []
+
+    def counted_run_scenario(cfg, **kwargs):
+        runs.append(cfg)
+        return run_scenario(cfg, **kwargs)
+
+    monkeypatch.setattr(sweep, "_cpu_count", lambda: 1)  # every run in this process
+    monkeypatch.setattr(sweep, "run_scenario", counted_run_scenario)
+    rows = _golden_sweep_rows()
+    assert sum(isinstance(row["seed"], int) for row in rows) == 32
+    assert len(runs) <= MAX_SWEEP_RUNS
+    assert _sha256(write_csv, rows) == SWEEP_CSV_SHA256
 
 
 # The worker count is the affinity mask's size; pinning it covers the serial

@@ -1,6 +1,7 @@
 """Event queue ordering and RNG stream contracts."""
 
 import ctypes
+import hashlib
 import math
 import threading
 
@@ -9,6 +10,7 @@ import pytest
 
 from lorapcsma import ziggurat
 from lorapcsma.kernel import (
+    _LABEL_KEYS,
     _PCG64_MULT,
     EXPONENTIAL_MAX,
     RNG_BLOCK,
@@ -17,6 +19,12 @@ from lorapcsma.kernel import (
     Scheduler,
     _label_key,
     us_from_s,
+)
+from lorapcsma.simulation import (
+    STREAM_PERSISTENCE,
+    STREAM_PLACEMENT,
+    STREAM_SHADOWING,
+    STREAM_TRAFFIC,
 )
 
 
@@ -106,6 +114,18 @@ def test_distinct_stream_ids_give_distinct_sequences():
     a = [traffic.uniform() for _ in range(1000)]
     b = [persistence.uniform() for _ in range(1000)]
     assert a != b
+
+
+@pytest.mark.parametrize("label", [*_LABEL_KEYS, "any other label", ""])
+def test_label_keys_are_the_first_8_bytes_of_sha256(label):
+    # The four stream labels have precomputed keys, so that a run never
+    # imports hashlib; every other label is hashed when asked.
+    assert _label_key(label) == int.from_bytes(hashlib.sha256(label.encode()).digest()[:8], "big")
+
+
+def test_the_precomputed_keys_are_the_simulations_stream_labels():
+    labels = {STREAM_PLACEMENT, STREAM_TRAFFIC, STREAM_PERSISTENCE, STREAM_SHADOWING}
+    assert set(_LABEL_KEYS) == labels
 
 
 def _numpy_generator(seed, label):

@@ -168,3 +168,21 @@ def test_p1_on_idle_channel_reproduces_aloha_send_times():
         result = sim.run()
         per_mode[mac_mode] = [(r.device, r.air_start_us, r.outcome) for r in result.records]
     assert per_mode["pcsma"] == per_mode["aloha"]
+
+
+def test_the_audit_counts_every_persistence_draw(monkeypatch):
+    # One area and p = 0.1: most generations back off and draw many times.
+    from lorapcsma import mac
+    from lorapcsma.simulation import run_scenario
+
+    calls = []
+
+    def counted(p, rng):
+        calls.append(p)
+        return shall_it_pass(p, rng)
+
+    monkeypatch.setattr(mac, "shall_it_pass", counted)
+    cfg = RunConfig(n_devices=50, p=0.1, period_set_s=(30.0,), sim_time_s=300.0, seed=3)
+    result = run_scenario(cfg)
+    assert len(calls) > 50
+    assert result.audit.persistence_draws == len(calls)

@@ -1,20 +1,24 @@
 """Property tests: accepted random configs terminate, conserve and replay;
-lazy air-end expiry agrees with air-end events; carrier sensing agrees with
-the vicinity-matrix oracle."""
+lazy air-end expiry agrees with air-end events; a sweep that reuses runs
+across p agrees with one run per point; carrier sensing agrees with the
+vicinity-matrix oracle."""
 
 import io
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
+from unittest import mock
 
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import run_with_eager_air_ends
-from lorapcsma import phy
-from lorapcsma.config import ConfigError, RunConfig
+from lorapcsma import phy, sweep
+from lorapcsma.config import ConfigError, RunConfig, SweepGrid
 from lorapcsma.gateway import Outcome, TxRecord
 from lorapcsma.metrics import write_trace
-from lorapcsma.simulation import Simulation, run_scenario
+from lorapcsma.kernel import RngStream
+from lorapcsma.simulation import STREAM_PERSISTENCE, Simulation, run_scenario
+from lorapcsma.sweep import run_sweep
 from lorapcsma.topology import DeviceSpec, build_vicinity
 
 probabilities = st.floats(0.01, 1.0)
@@ -164,6 +168,76 @@ def test_lazy_air_ends_match_air_end_events(cfg):
     assert lazy.counters == eager.counters
     # Every packet that ended inside the run was one eager event.
     assert eager.audit.events_executed == lazy.audit.events_executed + lazy.counters.sent
+
+
+@st.composite
+def p_sweeps(draw):
+    """Points of a sweep over three or four scalar p, two hiding levels and
+    two seeds, with the workers that run them.  The first p's run, in one
+    area under the first seed, draws persistence values; one p equals such
+    a value, often the last (the stream's first value if the run draws
+    none), and one is the next float above it, so the two decide that draw
+    apart.  Short periods make devices back off and draw."""
+    seed = draw(st.integers(0, 2**31))
+    sf_set = tuple(draw(st.lists(st.integers(7, 9), min_size=1, max_size=3, unique=True)))
+    try:
+        base = RunConfig(
+            n_devices=draw(st.integers(2, 20)),
+            mac=draw(st.sampled_from(("pcsma", "aloha"))),
+            offsets=draw(st.sampled_from(("zero", "uniform"))),
+            sf_set=sf_set,
+            period_set_s=draw(st.sampled_from(((5.0,), (5.0, 10.0), (2.0, 7.5)))),
+            sensing_interval_s=draw(st.none() | st.floats(0.01, 0.5)),
+            duty_cycle_enforce=draw(st.booleans()),
+            sim_time_s=draw(st.floats(20.0, 90.0)),
+            seed=seed,
+        )
+        first = draw(probabilities)
+        n_draws = run_scenario(replace(base, p=first), keep_records=False).audit.persistence_draws
+        stream = RngStream(seed, STREAM_PERSISTENCE)
+        k = draw(st.just(n_draws) | st.integers(1, max(n_draws, 1)))
+        u = [stream.uniform() for _ in range(max(k, 1))][-1]
+        # u before the float above it, so that a run at p = u, which draws
+        # u and fails it, comes first.
+        ps = [u, math.nextafter(u, 1.0)]
+        for extra in draw(st.lists(probabilities, max_size=1)):
+            ps.insert(draw(st.integers(0, 2)), extra)
+        ps = list(dict.fromkeys(p for p in [first, *ps] if p > 0.0))
+        # run_sweep's nesting: cells (p, then n_areas), then seeds.
+        points = [
+            replace(base, p=p, n_areas=n_areas, seed=s)
+            for p in ps
+            for n_areas in (1, 2)
+            for s in (seed, seed + 1)
+        ]
+    except ConfigError:
+        reject()
+    return base, points, draw(st.integers(1, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p_sweeps())
+def test_a_sweep_equals_one_run_per_point(case):
+    # A sweep simulates a point only if no run of its group drew a value
+    # that its p decides otherwise; every point must get what its own run
+    # gives.
+    base, points, workers = case
+    independent = {point: run_scenario(point, keep_records=False).counters for point in points}
+    with mock.patch.object(sweep, "_cpu_count", lambda: workers):
+        assert sweep._run_all(points) == [independent[point] for point in points]
+        # The same through run_sweep's rows, over the p values whose cell
+        # names differ (u and the float above it print alike).
+        names = {}
+        for point in points:
+            names.setdefault(sweep.scenario_name(1, (8,), point.p, 1), point.p)
+        grid = SweepGrid(
+            p_values=tuple(names.values()),
+            n_areas_values=(1, 2),
+            seeds=(points[0].seed, points[0].seed + 1),
+        )
+        rows = run_sweep(base, grid)
+    with mock.patch.object(sweep, "_run_all", lambda pts: [independent[p] for p in pts]):
+        assert rows == run_sweep(base, grid)
 
 
 SF10_RANGE_M = phy.detect_range_m(10, phy.END_DEVICE, 14.0, phy.LossParams(), phy.SensitivityTable())

@@ -684,6 +684,31 @@ def test_poisson_runs_and_aloha_sweeps_need_no_numpy(tmp_path):
     assert outputs[True][3].count(b"\n") > 1000  # the trace holds the run's packets
 
 
+def test_a_command_imports_only_what_it_runs(tmp_path):
+    # hashlib loads OpenSSL (~3.7 MB), and only a multi-run sweep uses
+    # statistics and pickle.  -S leaves out site hooks, whose imports are
+    # not the command's.
+    check = (
+        "import sys; from lorapcsma import cli; assert cli.main(sys.argv[1:]) == 0; "
+        "loaded = {'hashlib', '_hashlib', 'statistics', 'pickle'} & set(sys.modules); "
+        "assert not loaded, loaded"
+    )
+    config = tmp_path / "scenario.cfg"
+    config.write_text("n_devices = 6\nsim_time_s = 600\np = 0.5\n")
+    for argv in (
+        ["run", "--config", str(config)],
+        ["validate-aloha", "--g", "0.5", "--packet-times", "2000"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", check, *argv],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_validate_aloha(tmp_path, capsys):
     out = tmp_path / "aloha.csv"
     code = cli.main(

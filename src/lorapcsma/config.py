@@ -96,35 +96,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         self.validate()
 
-    def radio_params(self) -> phy.RadioParams:
-        lowdr = {"auto": None, "on": True, "off": False}[self.low_data_rate_optimize]
-        return phy.RadioParams(
-            bandwidth_hz=self.bandwidth_hz,
-            coding_rate=self.coding_rate,
-            preamble_symbols=self.preamble_symbols,
-            explicit_header=self.explicit_header,
-            crc=self.crc,
-            low_data_rate_optimize=lowdr,
-            payload_bytes=self.payload_bytes,
-        )
-
-    def loss_params(self) -> phy.LossParams:
-        return phy.LossParams(
-            reference_loss_db=self.reference_loss_db,
-            reference_distance_m=self.reference_distance_m,
-            exponent=self.path_loss_exponent,
-        )
-
-    def sensitivity_table(self) -> phy.SensitivityTable:
-        return phy.SensitivityTable(
-            end_device=self.device_sensitivity_dbm,
-            gateway=self.gateway_sensitivity_dbm,
-        )
-
     def poisson_mean_gap_s(self, sf: int) -> float:
         """Mean gap between aggregate Poisson arrivals: one airtime at ``sf``
         divided by ``offered_load``."""
-        gap_s = phy.time_on_air(sf, self.radio_params()) / self.offered_load
+        gap_s = phy.time_on_air(sf, self) / self.offered_load
         # A gap that rounds to 0 us would schedule every arrival at one tick,
         # and a drawn gap (at most EXPONENTIAL_MAX means) must convert to us.
         if not (lasts_1us(gap_s) and math.isfinite(gap_s * EXPONENTIAL_MAX * US_PER_S)):
@@ -183,18 +158,31 @@ class RunConfig:
                 raise ConfigError(
                     f"{key} must be at most {MAX_LEVEL_DB:g} in magnitude, got {value:g}"
                 )
-        for what, build in (
-            ("radio parameters", self.radio_params),
-            ("path-loss parameters", self.loss_params),
-            ("sensitivity tables", self.sensitivity_table),
+        for key, ok, rule in (
+            ("bandwidth_hz", self.bandwidth_hz > 0, "be positive"),
+            ("coding_rate", 1 <= self.coding_rate <= 4, "be in 1..4 (4/5..4/8)"),
+            ("payload_bytes", self.payload_bytes >= 1, "be >= 1"),
+            ("preamble_symbols", self.preamble_symbols >= 1, "be >= 1"),
+            ("path_loss_exponent", self.path_loss_exponent > 0, "be positive"),
+            ("reference_distance_m", self.reference_distance_m > 0, "be positive"),
         ):
-            try:
-                build()
-            except ValueError as exc:
-                raise ConfigError(f"{what}: {exc}") from None
-        radio = self.radio_params()
+            if not ok:
+                raise ConfigError(f"{key} must {rule}, got {getattr(self, key)!r}")
+        # A higher SF demodulates weaker signals, and the gateway hears at
+        # least what a device hears.
+        device, gateway = self.device_sensitivity_dbm, self.gateway_sensitivity_dbm
+        for key, row in (("device_sensitivity_dbm", device), ("gateway_sensitivity_dbm", gateway)):
+            if len(row) != phy.SF_MAX - phy.SF_MIN + 1:
+                raise ConfigError(f"{key} needs 6 values (SF7..SF12), got {len(row)}")
+            if any(a <= b for a, b in zip(row, row[1:])):
+                raise ConfigError(f"{key} must strictly decrease with SF, got {row}")
+        if any(g > d for g, d in zip(gateway, device)):
+            raise ConfigError(
+                "gateway_sensitivity_dbm must be at most device_sensitivity_dbm at every SF "
+                "(the gateway at least as sensitive)"
+            )
         # Airtime grows with SF, so SF12's bounds that of any device's SF.
-        if not math.isfinite(phy.time_on_air(phy.SF_MAX, radio) * US_PER_S):
+        if not math.isfinite(phy.time_on_air(phy.SF_MAX, self) * US_PER_S):
             raise ConfigError(
                 f"bandwidth_hz {self.bandwidth_hz:g} makes the SF{phy.SF_MAX} airtime not finite "
                 "in microseconds"
@@ -202,7 +190,7 @@ class RunConfig:
         for sf in self.sf_set:
             interval_s = self.sensing_interval_s
             if interval_s is None:
-                interval_s = phy.sensing_interval_s(sf, radio)
+                interval_s = phy.sensing_interval_s(sf, self)
             if not lasts_1us(interval_s):
                 raise ConfigError(
                     f"sensing_interval_s gives {interval_s:.3g} s at SF{sf}, below 1 us or not "

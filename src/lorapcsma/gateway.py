@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from heapq import heappop
 
 from .metrics import Counters
-from .phy import SF_MAX, SF_MIN, SensitivityTable
+from .phy import SF_MAX, SF_MIN
 
 
 class Outcome(enum.Enum):
@@ -44,7 +44,8 @@ class GatewayPhy:
     ``on_air`` maps each device on air to its packet, from air-start to
     air-end (or the end of the run); it is the one record of who is on air,
     and the MAC senses over it.  ``bound`` is its subset that holds a
-    demodulation path, also keyed by device.
+    demodulation path, also keyed by device.  ``row`` holds the
+    gateway's sensitivities for SF7..SF12 (``cfg.gateway_sensitivity_dbm``).
 
     Model conventions:
     - below-sensitivity and path-rejected packets are drop categories, not
@@ -55,14 +56,14 @@ class GatewayPhy:
     - simultaneous arrivals bind paths in event (FIFO) order.
     """
 
-    def __init__(self, n_paths: int, table: SensitivityTable, counters: Counters) -> None:
+    def __init__(self, n_paths: int, row: tuple[float, ...], counters: Counters) -> None:
         if n_paths < 1:
             raise ValueError("the gateway needs at least one demodulation path")
         self.n_paths = n_paths
         self.on_air: dict[int, TxRecord] = {}
         self.bound: dict[int, TxRecord] = {}
         self.ends_due: list[tuple[int, int, TxRecord]] = []  # (air-end us, seq, packet)
-        self.threshold_dbm = dict(zip(range(SF_MIN, SF_MAX + 1), table.gateway))
+        self.threshold_dbm = dict(zip(range(SF_MIN, SF_MAX + 1), row))
         self.counters = counters
         self.max_paths_bound = 0
         self.starts = 0

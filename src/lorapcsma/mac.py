@@ -68,11 +68,10 @@ class PcsmaMac:
                 field, wrong = problem
                 raise ValueError(f"{field} for device {device} {wrong}")
         n = len(devices)
-        radio = cfg.radio_params()
         sfs = {d.sf for d in devices}
-        toa_us = {sf: us_from_s(phy.time_on_air(sf, radio)) for sf in sfs}
+        toa_us = {sf: us_from_s(phy.time_on_air(sf, cfg)) for sf in sfs}
         if cfg.sensing_interval_s is None:
-            sense_us = {sf: us_from_s(phy.sensing_interval_s(sf, radio)) for sf in sfs}
+            sense_us = {sf: us_from_s(phy.sensing_interval_s(sf, cfg)) for sf in sfs}
         else:
             sense_us = dict.fromkeys(sfs, us_from_s(cfg.sensing_interval_s))
         self.sense_us = [sense_us[d.sf] for d in devices]
@@ -85,17 +84,10 @@ class PcsmaMac:
         self.on_air = gateway.on_air  # the gateway's map itself, not a copy
         self.ends_due = gateway.ends_due
         self.persistence = [float(d.persistence) for d in devices]
-        loss, table = cfg.loss_params(), cfg.sensitivity_table()
         # (x, y, z, detect range) per device; the range is the device's as a
         # transmitter, at its SF and effective TX power.
         self.hearing = [
-            (
-                d.x,
-                d.y,
-                d.z,
-                phy.detect_range_m(d.sf, phy.END_DEVICE, d.effective_tx_dbm, loss, table),
-            )
-            for d in devices
+            (d.x, d.y, d.z, phy.detect_range_m(d.sf, d.effective_tx_dbm, cfg)) for d in devices
         ]
         self.counters = counters
         self.records = records  # transmission log; None keeps none
@@ -103,7 +95,7 @@ class PcsmaMac:
         self.sf = [d.sf for d in devices]
         # Received power at the gateway, which sits at the origin.
         self.prx_dbm = [
-            phy.received_power_dbm(d.effective_tx_dbm, sqrt(d.x**2 + d.y**2 + d.z**2), loss)
+            phy.received_power_dbm(d.effective_tx_dbm, sqrt(d.x**2 + d.y**2 + d.z**2), cfg)
             for d in devices
         ]
         self.toa_us = [toa_us[d.sf] for d in devices]

@@ -84,7 +84,7 @@ class Simulation:
         self.sched = Scheduler()
         self.counters = Counters()
         self.records: list[TxRecord] | None = [] if keep_records else None
-        self.gateway = GatewayPhy(cfg.gateway_paths, cfg.sensitivity_table(), self.counters)
+        self.gateway = GatewayPhy(cfg.gateway_paths, cfg.gateway_sensitivity_dbm, self.counters)
         rng = RngStream(cfg.seed, STREAM_PERSISTENCE)
         self.mac = PcsmaMac(cfg, devices, self.sched, self.gateway, self.counters, self.records, rng)
 

@@ -100,10 +100,7 @@ def validate_geometry(cfg: RunConfig) -> None:
             "cluster and ring radii must be non-negative and keep every member within "
             f"{MAX_COORD_M:g} m of the gateway"
         )
-    loss, table = cfg.loss_params(), cfg.sensitivity_table()
-    max_device_range = max(
-        phy.detect_range_m(sf, phy.END_DEVICE, cfg.tx_power_dbm, loss, table) for sf in cfg.sf_set
-    )
+    max_device_range = max(phy.detect_range_m(sf, cfg.tx_power_dbm, cfg) for sf in cfg.sf_set)
     if cfg.n_areas > 1:
         min_separation = (
             2.0 * cfg.ring_radius_m * math.sin(math.pi / cfg.n_areas) - 2.0 * cfg.cluster_radius_m
@@ -114,8 +111,9 @@ def validate_geometry(cfg: RunConfig) -> None:
                 f"exceed the maximum end-device detect range {max_device_range:.4g} m; "
                 "increase ring_radius_m or decrease cluster_radius_m"
             )
-    prx_dbm = phy.received_power_dbm(cfg.tx_power_dbm, max_gw_dist, loss)
-    threshold_dbm, sf = max((table.threshold_dbm(sf, phy.GATEWAY), sf) for sf in cfg.sf_set)
+    prx_dbm = phy.received_power_dbm(cfg.tx_power_dbm, max_gw_dist, cfg)
+    gateway = cfg.gateway_sensitivity_dbm
+    threshold_dbm, sf = max((gateway[sf - phy.SF_MIN], sf) for sf in cfg.sf_set)
     if prx_dbm < threshold_dbm:
         raise GeometryError(
             f"cluster members may sit up to {max_gw_dist:.4g} m from the gateway and arrive at "
@@ -181,16 +179,13 @@ def assign_attributes(
 VICINITY_BLOCK_CELLS = 1 << 18
 
 
-def build_vicinity(
-    devices: list[DeviceSpec],
-    loss: phy.LossParams,
-    table: phy.SensitivityTable,
-) -> numpy.ndarray:
+def build_vicinity(devices: list[DeviceSpec], cfg: RunConfig) -> numpy.ndarray:
     """Boolean matrix: entry (i, j) true iff device i can detect device j.
 
     Detection of j's transmissions uses j's SF with the end-device
-    sensitivity row, so mixed-SF topologies may be asymmetric.  The diagonal
-    is false: a device is not in its own vicinity set.
+    sensitivity row (``cfg.device_sensitivity_dbm``) and ``cfg``'s path loss,
+    so mixed-SF topologies may be asymmetric.  The diagonal is false: a
+    device is not in its own vicinity set.
 
     Runs do not build it: ``PcsmaMac.sense`` evaluates the same test for the
     devices on air.  This is the reference "who hears whom", for tests and
@@ -203,12 +198,7 @@ def build_vicinity(
 
     n = len(devices)
     x, y, z = np.array([[d.x, d.y, d.z] for d in devices]).T
-    ranges = np.array(
-        [
-            phy.detect_range_m(d.sf, phy.END_DEVICE, d.effective_tx_dbm, loss, table)
-            for d in devices
-        ]
-    )
+    ranges = np.array([phy.detect_range_m(d.sf, d.effective_tx_dbm, cfg) for d in devices])
     matrix = np.empty((n, n), dtype=bool)
     rows = max(1, VICINITY_BLOCK_CELLS // n)
     for lo in range(0, n, rows):
@@ -234,7 +224,6 @@ def load_device_file(path: str | Path, cfg: RunConfig) -> list[DeviceSpec]:
     Ids must be the consecutive indices 0..N-1 (any input order).  Devices send
     at ``cfg.tx_power_dbm``; an automatic sensing interval must reach 1 us.
     """
-    radio = cfg.radio_params()
     rows = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -257,7 +246,7 @@ def load_device_file(path: str | Path, cfg: RunConfig) -> list[DeviceSpec]:
         problem = device_problem(rows[dev_id])
         if problem is not None:
             raise ConfigError(f"{path}:{lineno}: {' '.join(problem)}")
-        interval_s = phy.sensing_interval_s(sf, radio)
+        interval_s = phy.sensing_interval_s(sf, cfg)
         if cfg.sensing_interval_s is None and not lasts_1us(interval_s):
             wrong = f"must be at least 1 us, got {interval_s:.3g} s at SF{sf} (half the airtime)"
             raise ConfigError(f"{path}:{lineno}: sensing interval {wrong}")

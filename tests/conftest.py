@@ -27,14 +27,10 @@ def make_sim(devices, cfg: RunConfig | None = None, *, offsets_s=None, seed=1):
     return Simulation(cfg, devices)
 
 
-def vicinity_of(cfg: RunConfig, devices):
-    """The devices' vicinity matrix under ``cfg``'s PHY (who hears whom)."""
-    return topology.build_vicinity(devices, cfg.loss_params(), cfg.sensitivity_table())
-
-
-def above_sensitivity(prx_dbm, sf, role, table):
-    """Oracle: the received power meets the role's threshold (inclusive)."""
-    return prx_dbm >= table.threshold_dbm(sf, role)
+def above_sensitivity(prx_dbm, sf, row):
+    """Oracle: the received power meets the SF's threshold in a receiver's
+    sensitivity row, SF7 first (inclusive)."""
+    return prx_dbm >= row[sf - 7]
 
 
 def device_areas(n_devices, n_areas):

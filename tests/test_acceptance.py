@@ -15,13 +15,13 @@ from conftest import (
     hidden_star_positions,
     make_sim,
     overlapping_pairs,
-    vicinity_of,
 )
 from lorapcsma import phy
 from lorapcsma.config import RunConfig, SweepGrid
 from lorapcsma.metrics import compute_prr, write_csv, write_trace
 from lorapcsma.simulation import build_topology, run_scenario
 from lorapcsma.sweep import aloha_validation, run_sweep
+from lorapcsma.topology import build_vicinity
 
 
 def _criterion(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -30,7 +30,7 @@ def _criterion(number: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def test_c01_aloha_throughput_anchor():
-    toa = phy.time_on_air(8, phy.RadioParams())
+    toa = phy.time_on_air(8, RunConfig(n_devices=1))
     cfg = RunConfig(
         n_devices=100,
         sim_time_s=200_000 * toa,  # >= 200k packet-times
@@ -65,7 +65,7 @@ def test_c03_non_hidden_exclusion():
         cfg = RunConfig(n_devices=20, n_areas=1, sf_set=(8,), p=p, sim_time_s=3600.0, seed=seed)
         result = run_scenario(cfg)
         collided += result.counters.collided
-        vic = vicinity_of(cfg, build_topology(cfg))
+        vic = build_vicinity(build_topology(cfg), cfg)
         for a, b in overlapping_pairs(result.records):
             i, j = result.records[a].device, result.records[b].device
             if vic[i, j] and vic[j, i]:
@@ -96,7 +96,7 @@ def test_c05_demod_path_limit():
     # inside gateway range, firing at the same instant.
     devices = devices_at(hidden_star_positions(), period_s=1000.0)
     cfg = RunConfig(n_devices=9, period_set_s=(1000.0,), offsets="zero", sim_time_s=100.0, seed=1)
-    assert not vicinity_of(cfg, devices).any()  # mutually hidden
+    assert not build_vicinity(devices, cfg).any()  # mutually hidden
     result = make_sim(devices, cfg, offsets_s=[0.0] * 9).run()
     c = result.counters
     ok = c.no_path == 1 and c.collided == 8 and result.audit.max_paths_bound == 8
@@ -172,18 +172,20 @@ def test_c09_determinism():
 
 
 def test_c10_phy_oracle():
-    params = phy.RadioParams()
-    airtimes = {sf: phy.time_on_air(sf, params) for sf in (8, 10, 12)}
+    cfg = RunConfig(n_devices=1)  # the PHY defaults
+    airtimes = {sf: phy.time_on_air(sf, cfg) for sf in (8, 10, 12)}
     expected = {8: 0.102912, 10: 0.329728, 12: 1.318912}
     airtime_ok = all(abs(airtimes[sf] - expected[sf]) <= 1e-6 for sf in expected)
 
-    loss, table = phy.LossParams(), phy.SensitivityTable()
     round_trip_ok = True
-    for role in (phy.END_DEVICE, phy.GATEWAY):
+    # The gateway row is run as the device row of a second config.
+    gateway_cfg = RunConfig(n_devices=1, device_sensitivity_dbm=cfg.gateway_sensitivity_dbm)
+    for row_cfg in (cfg, gateway_cfg):
+        row = row_cfg.device_sensitivity_dbm
         for sf in range(7, 13):
-            r = phy.detect_range_m(sf, role, 14.0, loss, table)
-            inside = above_sensitivity(phy.received_power_dbm(14.0, r - 1e-3, loss), sf, role, table)
-            outside = above_sensitivity(phy.received_power_dbm(14.0, r + 1e-3, loss), sf, role, table)
+            r = phy.detect_range_m(sf, 14.0, row_cfg)
+            inside = above_sensitivity(phy.received_power_dbm(14.0, r - 1e-3, cfg), sf, row)
+            outside = above_sensitivity(phy.received_power_dbm(14.0, r + 1e-3, cfg), sf, row)
             round_trip_ok = round_trip_ok and inside and not outside
     ok = airtime_ok and round_trip_ok
     detail = " ".join(f"SF{sf}={airtimes[sf]:.6f}s" for sf in expected)

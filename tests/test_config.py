@@ -109,6 +109,38 @@ def test_duplicate_key_rejected():
         ({"n_devices": 1, "tx_power_dbm": 1e308}, "tx_power_dbm must be at most 1e\\+300"),
         ({"n_devices": 1, "reference_loss_db": -1e308}, "reference_loss_db must be at most"),
         ({"n_devices": 1, "bandwidth_hz": 1e-310}, "bandwidth_hz 1e-310 makes the SF12 airtime"),
+        # The radio, path-loss and sensitivity rules name their key.
+        ("n_devices = 1\nbandwidth_hz = 0\n", "bandwidth_hz must be positive, got 0.0"),
+        ("n_devices = 1\ncoding_rate = 5\n", r"coding_rate must be in 1\.\.4"),
+        ({"n_devices": 1, "coding_rate": 0}, r"coding_rate must be in 1\.\.4"),
+        ("n_devices = 1\npayload_bytes = 0\n", "payload_bytes must be >= 1, got 0"),
+        ("n_devices = 1\npreamble_symbols = 0\n", "preamble_symbols must be >= 1, got 0"),
+        ("n_devices = 1\npath_loss_exponent = 0\n", "path_loss_exponent must be positive"),
+        ("n_devices = 1\nreference_distance_m = 0\n", "reference_distance_m must be positive"),
+        (
+            "n_devices = 1\ndevice_sensitivity_dbm = {-124,-127,-130,-133,-135}\n",
+            r"device_sensitivity_dbm needs 6 values \(SF7\.\.SF12\), got 5",
+        ),
+        (
+            "n_devices = 1\ngateway_sensitivity_dbm = {-130,-132.5,-135,-137.5,-140,-142.5,-145}\n",
+            r"gateway_sensitivity_dbm needs 6 values \(SF7\.\.SF12\), got 7",
+        ),
+        (
+            "n_devices = 1\ndevice_sensitivity_dbm = {-124,-124,-130,-133,-135,-137}\n",
+            "device_sensitivity_dbm must strictly decrease with SF",
+        ),
+        (
+            "n_devices = 1\ngateway_sensitivity_dbm = {-130,-135,-132.5,-137.5,-140,-142.5}\n",
+            "gateway_sensitivity_dbm must strictly decrease with SF",
+        ),
+        (
+            "n_devices = 1\ngateway_sensitivity_dbm = {-130,-132.5,-135,-137.5,-140,-136}\n",
+            "gateway_sensitivity_dbm must strictly decrease with SF",
+        ),
+        (
+            "n_devices = 1\ngateway_sensitivity_dbm = {-120,-121,-122,-123,-124,-125}\n",
+            "gateway_sensitivity_dbm must be at most device_sensitivity_dbm at every SF",
+        ),
     ],
 )
 def test_invalid_values_are_named_errors(doc, match):

@@ -6,14 +6,14 @@ import pytest
 
 from lorapcsma.gateway import GatewayPhy, Outcome, TxRecord
 from lorapcsma.metrics import Counters
-from lorapcsma.phy import SensitivityTable
+from lorapcsma.phy import DEFAULT_GATEWAY_SENSITIVITY_DBM
 
 TOA = 102_912
 
 
 def make_gateway(n_paths=8):
     counters = Counters()
-    gw = GatewayPhy(n_paths, SensitivityTable(), counters)
+    gw = GatewayPhy(n_paths, DEFAULT_GATEWAY_SENSITIVITY_DBM, counters)
     return gw, counters
 
 

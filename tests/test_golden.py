@@ -79,7 +79,7 @@ def test_sweep_csv_digest_holds_for_any_worker_count(monkeypatch, cpus):
 
 
 def test_aloha_validation_csv_is_identical_for_any_worker_count(monkeypatch):
-    toa_s = phy.time_on_air(8, phy.RadioParams())
+    toa_s = phy.time_on_air(8, RunConfig(n_devices=1))
     cfg = RunConfig(n_devices=100, sim_time_s=2000 * toa_s, mac="aloha", traffic="poisson", sf_set=(8,))
     texts = []
     for cpus in (1, 2, 3, 4):  # 4 CPUs for 3 points: one worker per point
@@ -139,7 +139,7 @@ def test_all_five_outcomes_trace_matches_golden_digest(mac):
 
 
 def test_aloha_validation_csv_matches_golden_digest():
-    toa_s = phy.time_on_air(8, phy.RadioParams())
+    toa_s = phy.time_on_air(8, RunConfig(n_devices=1))
     cfg = RunConfig(
         n_devices=100, sim_time_s=20_000 * toa_s, mac="aloha", traffic="poisson", sf_set=(8,)
     )

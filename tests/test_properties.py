@@ -125,7 +125,7 @@ def tie_prone_configs(draw):
     two airtimes, so polls land on air-ends."""
     sf_set = tuple(draw(st.lists(st.integers(7, 10), min_size=1, max_size=3, unique=True)))
     airtimes = draw(st.none() | st.sampled_from((1.0, 2.0)))
-    toa_s = phy.time_on_air(draw(st.sampled_from(sf_set)), phy.RadioParams())
+    toa_s = phy.time_on_air(draw(st.sampled_from(sf_set)), RunConfig(n_devices=1))
     fields = dict(
         n_devices=draw(st.integers(2, 40)),
         n_areas=draw(st.integers(1, 3)),
@@ -156,7 +156,7 @@ def tie_prone_configs(draw):
         sf_set=(8,),
         period_set_s=(10.0,),
         p=1.0,
-        sensing_interval_s=phy.time_on_air(8, phy.RadioParams()),
+        sensing_interval_s=phy.time_on_air(8, RunConfig(n_devices=1)),
         sim_time_s=30.5,
     )
 )
@@ -240,7 +240,7 @@ def test_a_sweep_equals_one_run_per_point(case):
         assert rows == run_sweep(base, grid)
 
 
-SF10_RANGE_M = phy.detect_range_m(10, phy.END_DEVICE, 14.0, phy.LossParams(), phy.SensitivityTable())
+SF10_RANGE_M = phy.detect_range_m(10, 14.0, RunConfig(n_devices=1))
 
 
 def _device(x, y=0.0, z=0.0, sf=8, tx_power_dbm=14.0, shadow_db=0.0):
@@ -292,7 +292,7 @@ def test_sense_matches_the_vicinity_matrix_oracle(case):
     devices, toggles = case
     n = len(devices)
     cfg = RunConfig(n_devices=n)
-    vicinity = build_vicinity(devices, cfg.loss_params(), cfg.sensitivity_table())
+    vicinity = build_vicinity(devices, cfg)
     sim = Simulation(cfg, devices)
     gateway = sim.gateway
     for step in [None, *toggles]:

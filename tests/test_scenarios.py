@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import devices_at, overlapping_pairs, vicinity_of
+from conftest import devices_at, overlapping_pairs
 from lorapcsma import cli, phy, sweep
 from lorapcsma.config import ConfigError, RunConfig, SweepGrid
 from lorapcsma.gateway import GatewayPhy, Outcome
@@ -21,6 +21,7 @@ from lorapcsma.kernel import EXPONENTIAL_MAX, RngStream
 from lorapcsma.metrics import compute_prr, write_csv, write_trace
 from lorapcsma.simulation import RunAudit, Simulation, build_topology, run_scenario
 from lorapcsma.sweep import aloha_validation, result_row, run_sweep
+from lorapcsma.topology import build_vicinity
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -61,7 +62,7 @@ def test_synchronized_visible_pair_never_collides():
 def test_no_mutually_visible_overlap_and_hidden_collisions_only():
     cfg = RunConfig(n_devices=60, n_areas=3, sf_set=(8, 9, 10), p=0.5, seed=21)
     result = run_scenario(cfg)
-    vic = vicinity_of(cfg, build_topology(cfg))
+    vic = build_vicinity(build_topology(cfg), cfg)
     records = result.records
     for a, b in overlapping_pairs(records):
         i, j = records[a].device, records[b].device
@@ -309,7 +310,7 @@ def test_sweep_is_order_independent():
 
 
 def test_aloha_validation_low_load_limit():
-    toa = phy.time_on_air(8, phy.RadioParams())
+    toa = phy.time_on_air(8, RunConfig(n_devices=1))
     cfg = RunConfig(
         n_devices=50, mac="aloha", traffic="poisson", sf_set=(8,),
         sim_time_s=5000 * toa, seed=1,
@@ -320,7 +321,7 @@ def test_aloha_validation_low_load_limit():
 
 def _traced_peak_bytes(packet_times: int) -> int:
     """Peak traced allocation of one unlogged ALOHA run at G = 0.5."""
-    toa = phy.time_on_air(8, phy.RadioParams())
+    toa = phy.time_on_air(8, RunConfig(n_devices=1))
     cfg = RunConfig(
         n_devices=100, mac="aloha", traffic="poisson", sf_set=(8,), offered_load=0.5,
         sim_time_s=packet_times * toa, seed=1,

@@ -19,8 +19,7 @@ from lorapcsma.topology import (
     place_clusters,
 )
 
-LOSS = phy.LossParams()
-TABLE = phy.SensitivityTable()
+CFG = RunConfig(n_devices=1)  # the PHY defaults
 
 
 def _devices(positions, sfs):
@@ -55,12 +54,12 @@ def test_place_clusters_respects_geometry():
 
 def test_mutual_visibility_and_hiding():
     close = _devices([(0.0, 0.0), (1.0, 0.0)], 8)
-    matrix = build_vicinity(close, LOSS, TABLE)
+    matrix = build_vicinity(close, CFG)
     assert matrix[0, 1] and matrix[1, 0]
     assert not matrix[0, 0] and not matrix[1, 1]
 
     far = _devices([(0.0, 0.0), (5000.0, 0.0)], 8)  # SF8 range ~3509 m
-    matrix = build_vicinity(far, LOSS, TABLE)
+    matrix = build_vicinity(far, CFG)
     assert not matrix[0, 1] and not matrix[1, 0]
 
 
@@ -68,7 +67,7 @@ def test_mixed_sf_vicinity_can_be_asymmetric():
     # 4000 m apart: the SF10 transmitter (range ~5068 m) is audible to the
     # SF8 device, whose own transmissions (range ~3509 m) do not reach back.
     devices = _devices([(0.0, 0.0), (4000.0, 0.0)], [8, 10])
-    matrix = build_vicinity(devices, LOSS, TABLE)
+    matrix = build_vicinity(devices, CFG)
     assert matrix[0, 1]
     assert not matrix[1, 0]
 
@@ -77,8 +76,8 @@ def test_vicinity_is_a_pure_function_of_inputs():
     rng = RngStream(5, "placement")
     positions = place_clusters(RunConfig(n_devices=12, n_areas=2), rng)
     devices = assign_attributes(positions, (8, 9), (100.0, 200.0), 0.5)
-    first = build_vicinity(devices, LOSS, TABLE)
-    second = build_vicinity(devices, LOSS, TABLE)
+    first = build_vicinity(devices, CFG)
+    second = build_vicinity(devices, CFG)
     assert np.array_equal(first, second)
 
 
@@ -102,10 +101,17 @@ def test_row_blocks_match_the_full_distance_matrix(monkeypatch, block_cells):
         devices = [
             topology.DeviceSpec(*map(float, xyz[i]), 8, float(i), 100.0, 1.0) for i in range(n)
         ]
-        monkeypatch.setattr(phy, "detect_range_m", lambda sf, role, tx, loss, table: ranges[int(tx)])
+        monkeypatch.setattr(phy, "detect_range_m", lambda sf, tx, cfg: ranges[int(tx)])
         expected = dist <= ranges[None, :]
         np.fill_diagonal(expected, False)
-        assert np.array_equal(build_vicinity(devices, LOSS, TABLE), expected)
+        assert np.array_equal(build_vicinity(devices, CFG), expected)
+
+
+@pytest.mark.parametrize("sf", [6, 13])
+def test_vicinity_refuses_a_spreading_factor_without_a_sensitivity(sf):
+    # SF6 would otherwise read the row's last entry, SF12's, by a negative index.
+    with pytest.raises(ValueError, match="spreading factor must be in 7..12"):
+        build_vicinity(_devices([(0.0, 0.0), (1.0, 0.0)], sf), CFG)
 
 
 def test_single_cluster_uniform_sf_matrix_symmetric():
@@ -113,7 +119,7 @@ def test_single_cluster_uniform_sf_matrix_symmetric():
     devices = assign_attributes(
         place_clusters(RunConfig(n_devices=15), rng), (8,), (100.0,), 1.0
     )
-    matrix = build_vicinity(devices, LOSS, TABLE)
+    matrix = build_vicinity(devices, CFG)
     assert np.array_equal(matrix, matrix.T)
     assert matrix.sum() == 15 * 14  # 150 m disc: everyone hears everyone
 
@@ -122,7 +128,7 @@ def test_hidden_areas_make_block_diagonal_matrix():
     cfg = RunConfig(n_devices=10, n_areas=2)  # building it checks the geometry
     rng = RngStream(9, "placement")
     devices = assign_attributes(place_clusters(cfg, rng), (8,), (100.0,), 1.0)
-    matrix = build_vicinity(devices, LOSS, TABLE)
+    matrix = build_vicinity(devices, CFG)
     areas = device_areas(10, 2)
     for i in range(10):
         for j in range(10):

@@ -96,9 +96,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         self.validate()
 
-    def poisson_mean_gap_s(self, sf: int) -> float:
-        """Mean gap between aggregate Poisson arrivals: one airtime at ``sf``
-        divided by ``offered_load``."""
+    def poisson_mean_gap_s(self) -> float:
+        """Mean gap between aggregate Poisson arrivals: one airtime at the
+        ``sf_set``'s one SF divided by ``offered_load``."""
+        sf = self.sf_set[0]
         gap_s = phy.time_on_air(sf, self) / self.offered_load
         # A gap that rounds to 0 us would schedule every arrival at one tick,
         # and a drawn gap (at most EXPONENTIAL_MAX means) must convert to us.
@@ -181,27 +182,25 @@ class RunConfig:
                 "gateway_sensitivity_dbm must be at most device_sensitivity_dbm at every SF "
                 "(the gateway at least as sensitive)"
             )
-        # Airtime grows with SF, so SF12's bounds that of any device's SF.
+        # Airtime does not decrease with SF, so SF12's airtime and SF7's
+        # sensing interval bound those of any device, whatever its SF.
         if not math.isfinite(phy.time_on_air(phy.SF_MAX, self) * US_PER_S):
             raise ConfigError(
                 f"bandwidth_hz {self.bandwidth_hz:g} makes the SF{phy.SF_MAX} airtime not finite "
                 "in microseconds"
             )
-        for sf in self.sf_set:
-            interval_s = self.sensing_interval_s
-            if interval_s is None:
-                interval_s = phy.sensing_interval_s(sf, self)
-            if not lasts_1us(interval_s):
-                raise ConfigError(
-                    f"sensing_interval_s gives {interval_s:.3g} s at SF{sf}, below 1 us or not "
-                    "finite in microseconds (auto is half the airtime)"
-                )
+        interval_s = phy.sensing_interval_s(phy.SF_MIN, self)
+        if not lasts_1us(interval_s):
+            raise ConfigError(
+                f"sensing_interval_s gives {interval_s:.3g} s at SF{phy.SF_MIN}, below 1 us or not "
+                "finite in microseconds (auto is half the airtime)"
+            )
         if self.traffic == "poisson":
             if self.offered_load <= 0:
                 raise ConfigError("offered_load must be positive for poisson traffic")
             if len(self.sf_set) != 1:
                 raise ConfigError("poisson traffic needs a single-SF sf_set (one packet-time)")
-            self.poisson_mean_gap_s(self.sf_set[0])
+            self.poisson_mean_gap_s()
         # A device file fixes the placement; generated clusters must fit the
         # float range and be mutually hidden yet gateway-covered.
         if self.device_file is None:

@@ -63,21 +63,16 @@ class PcsmaMac:
         if not devices:
             raise ValueError("need at least one device")
         for device, d in enumerate(devices):
-            problem = device_problem(d)
+            problem = device_problem(d, cfg)
             if problem is not None:
                 field, wrong = problem
                 raise ValueError(f"{field} for device {device} {wrong}")
         n = len(devices)
         sfs = {d.sf for d in devices}
         toa_us = {sf: us_from_s(phy.time_on_air(sf, cfg)) for sf in sfs}
-        if cfg.sensing_interval_s is None:
-            sense_us = {sf: us_from_s(phy.sensing_interval_s(sf, cfg)) for sf in sfs}
-        else:
-            sense_us = dict.fromkeys(sfs, us_from_s(cfg.sensing_interval_s))
+        # validate() proved SF7's interval, the shortest of any SF, >= 1 us.
+        sense_us = {sf: us_from_s(phy.sensing_interval_s(sf, cfg)) for sf in sfs}
         self.sense_us = [sense_us[d.sf] for d in devices]
-        for device, interval_us in enumerate(self.sense_us):
-            if interval_us < 1:
-                raise ValueError(f"sensing interval for device {device} must be at least 1 us")
         self.period_us = [us_from_s(d.period_s) for d in devices]
         self.sched = sched
         self.gateway = gateway

@@ -50,8 +50,11 @@ def time_on_air(sf: int, cfg: RunConfig) -> float:
 
 
 def sensing_interval_s(sf: int, cfg: RunConfig) -> float:
-    """Back-off re-sensing cadence: half the packet airtime for this SF."""
-    return time_on_air(sf, cfg) / 2.0
+    """Back-off re-sensing cadence at ``sf``: ``cfg.sensing_interval_s`` when
+    set, else (``auto``) half the packet airtime at ``sf``."""
+    if cfg.sensing_interval_s is None:
+        return time_on_air(sf, cfg) / 2.0
+    return cfg.sensing_interval_s
 
 
 def path_loss_db(distance_m: float, cfg: RunConfig) -> float:

@@ -102,7 +102,7 @@ class Simulation:
             self.sched.schedule(offset_us, self.mac.generate, i)
 
     def _seed_poisson(self) -> None:
-        self._poisson_mean_s = self.cfg.poisson_mean_gap_s(self.devices[0].sf)
+        self._poisson_mean_s = self.cfg.poisson_mean_gap_s()
         self._traffic_rng = RngStream(self.cfg.seed, STREAM_TRAFFIC)
         self._schedule_arrival(0)
 

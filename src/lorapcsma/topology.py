@@ -57,9 +57,10 @@ MAX_COORD_M = 1e150
 MAX_LEVEL_DB = 1e300
 
 
-def device_problem(d: DeviceSpec) -> tuple[str, str] | None:
-    """The first device rule of a run that ``d`` breaks, as (field, what is
-    wrong), or None.  The run gate and ``load_device_file`` both apply it."""
+def device_problem(d: DeviceSpec, cfg: RunConfig) -> tuple[str, str] | None:
+    """The first device rule of a run under ``cfg`` that ``d`` breaks, as
+    (field, what is wrong), or None.  The run gate and ``load_device_file``
+    both apply it."""
     for name in FINITE_FIELDS:
         value = getattr(d, name)
         if not math.isfinite(value):
@@ -69,6 +70,9 @@ def device_problem(d: DeviceSpec) -> tuple[str, str] | None:
             return name, f"must be at most {limit:g} in magnitude, got {value:g}"
     if not phy.SF_MIN <= d.sf <= phy.SF_MAX:
         return "sf", f"must be in {phy.SF_MIN}..{phy.SF_MAX}, got {d.sf}"
+    if cfg.traffic == "poisson" and d.sf != cfg.sf_set[0]:
+        # Poisson arrivals are timed in packet-times at the sf_set's SF.
+        return "sf", f"must be the sf_set's SF{cfg.sf_set[0]} under poisson traffic, got {d.sf}"
     if not 0.0 < d.persistence <= 1.0:
         return "persistence", f"must be in (0, 1], got {d.persistence}"
     if not lasts_1us(d.period_s):
@@ -175,10 +179,6 @@ def assign_attributes(
     ]
 
 
-# Float cells per row block of the vicinity build (2 MB per temporary).
-VICINITY_BLOCK_CELLS = 1 << 18
-
-
 def build_vicinity(devices: list[DeviceSpec], cfg: RunConfig) -> numpy.ndarray:
     """Boolean matrix: entry (i, j) true iff device i can detect device j.
 
@@ -188,31 +188,16 @@ def build_vicinity(devices: list[DeviceSpec], cfg: RunConfig) -> numpy.ndarray:
     device is not in its own vicinity set.
 
     Runs do not build it: ``PcsmaMac.sense`` evaluates the same test for the
-    devices on air.  This is the reference "who hears whom", for tests and
-    analysis, and needs numpy.
-
-    Distances are computed a block of rows at a time, as
-    ``sqrt((dx**2 + dy**2) + dz**2)``, so no N x N float matrix is kept.
+    devices on air, with the same distance ``sqrt((dx**2 + dy**2) + dz**2)``.
+    This is the reference "who hears whom", for tests and analysis, and
+    needs numpy.
     """
     import numpy as np
 
-    n = len(devices)
     x, y, z = np.array([[d.x, d.y, d.z] for d in devices]).T
     ranges = np.array([phy.detect_range_m(d.sf, d.effective_tx_dbm, cfg) for d in devices])
-    matrix = np.empty((n, n), dtype=bool)
-    rows = max(1, VICINITY_BLOCK_CELLS // n)
-    for lo in range(0, n, rows):
-        block = slice(lo, lo + rows)
-        dist = np.subtract.outer(x[block], x)
-        dist *= dist
-        sq = np.subtract.outer(y[block], y)
-        sq *= sq
-        dist += sq
-        np.subtract.outer(z[block], z, out=sq)
-        sq *= sq
-        dist += sq
-        np.sqrt(dist, out=dist)
-        np.less_equal(dist, ranges, out=matrix[block])
+    dx, dy, dz = (np.subtract.outer(c, c) for c in (x, y, z))
+    matrix = np.sqrt((dx * dx + dy * dy) + dz * dz) <= ranges
     np.fill_diagonal(matrix, False)
     return matrix
 
@@ -222,7 +207,8 @@ def load_device_file(path: str | Path, cfg: RunConfig) -> list[DeviceSpec]:
 
     Fields may be separated by whitespace or commas; ``#`` starts a comment.
     Ids must be the consecutive indices 0..N-1 (any input order).  Devices send
-    at ``cfg.tx_power_dbm``; an automatic sensing interval must reach 1 us.
+    at ``cfg.tx_power_dbm``, and each row meets ``device_problem`` under
+    ``cfg``.
     """
     rows = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -243,13 +229,9 @@ def load_device_file(path: str | Path, cfg: RunConfig) -> list[DeviceSpec]:
         if dev_id in rows:
             raise ConfigError(f"{path}:{lineno}: duplicate device id {dev_id}")
         rows[dev_id] = DeviceSpec(x, y, z, sf, cfg.tx_power_dbm, period_s, p)
-        problem = device_problem(rows[dev_id])
+        problem = device_problem(rows[dev_id], cfg)
         if problem is not None:
             raise ConfigError(f"{path}:{lineno}: {' '.join(problem)}")
-        interval_s = phy.sensing_interval_s(sf, cfg)
-        if cfg.sensing_interval_s is None and not lasts_1us(interval_s):
-            wrong = f"must be at least 1 us, got {interval_s:.3g} s at SF{sf} (half the airtime)"
-            raise ConfigError(f"{path}:{lineno}: sensing interval {wrong}")
     if sorted(rows) != list(range(len(rows))):
         raise ConfigError(f"{path}: device ids must be consecutive from 0")
     return [rows[i] for i in range(len(rows))]

@@ -73,6 +73,10 @@ def test_airtime_matches_oracle_over_every_radio_key(sf, low_dr):
         )
         expected = airtime_oracle(sf, payload, bw, cr, n_pre, header, crc, de)
         assert time_on_air(sf, cfg) == pytest.approx(expected, rel=1e-12)
+        # Airtime does not decrease with SF, so RunConfig.validate bounds
+        # every device by SF7's sensing interval and SF12's airtime.
+        if sf < 12:
+            assert time_on_air(sf, cfg) <= time_on_air(sf + 1, cfg)
 
 
 def test_low_data_rate_optimize_auto_is_on_from_sf11():

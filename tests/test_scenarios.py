@@ -253,12 +253,15 @@ def _three_device_file_config(tmp_path, sim_time_s: float) -> RunConfig:
             "below the SF7 gateway sensitivity",
             id="negative-link-budget-cell",
         ),
+        # The Poisson gap is one airtime at the cell's SF: 1.3 us at SF12,
+        # but it rounds to 0 us at SF7.
         pytest.param(
             lambda from_file: run_sweep(
-                replace(SMALL, sf_set=(12,), bandwidth_hz=1e10), SweepGrid(sf_sets=((12,), (7,)))
+                replace(SMALL, traffic="poisson", sf_set=(12,), offered_load=1e6),
+                SweepGrid(sf_sets=((12,), (7,))),
             ),
-            "sensing_interval_s gives .* at SF7, below 1 us",
-            id="auto-sensing-below-1us-cell",
+            "offered_load 1e[+]06 makes the mean Poisson gap .* at SF7",
+            id="poisson-gap-below-1us-cell",
         ),
     ],
 )
@@ -448,31 +451,56 @@ def test_cli_device_file_position_that_overflows_exits_2_naming_the_line(tmp_pat
     assert f"{devices}:1: x must be at most" in proc.stderr and "Traceback" not in proc.stderr
 
 
-def test_cli_device_file_sensing_interval_below_1us_exits_2_naming_the_line(tmp_path):
+def test_cli_auto_sensing_interval_below_1us_at_sf7_exits_2(tmp_path):
     # SF7 is outside sf_set; under a 10 GHz bandwidth half its airtime
-    # rounds to 0 us.  The file names the fault, not the run gate.
+    # rounds to 0 us.  Any device may be SF7, so the config is refused when
+    # built, before its device file is read.
     devices = tmp_path / "devices.txt"
     devices.write_text("0 0 0 0 7 100 1.0\n")
     config = tmp_path / "scenario.cfg"
     config.write_text(f"n_devices = 1\nsf_set = {{12}}\nbandwidth_hz = 1e10\ndevice_file = {devices}\n")
     proc = _run_cli("run", "--config", str(config))
     assert proc.returncode == 2
-    assert f"{devices}:1: sensing interval must be at least 1 us" in proc.stderr
+    assert "sensing_interval_s gives" in proc.stderr and "at SF7, below 1 us" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
-def test_device_file_poisson_gap_uses_device_0s_sf(tmp_path):
-    # validate() checks the gap at sf_set[0] = SF12 (1.5 us, accepted), but
-    # the arrivals run at device 0's SF7, whose gap rounds to 0 us.
-    (tmp_path / "devices.txt").write_text("0 100 0 0 7 100 1.0\n")
+def test_cli_poisson_device_file_at_another_sf_exits_2_naming_the_line(tmp_path):
+    # Poisson arrivals are timed at the sf_set's SF12; an SF7 device would
+    # send shorter packets than the packet-time the load is counted in.
+    devices = tmp_path / "devices.txt"
+    devices.write_text("0 100 0 0 7 100 1.0\n")
     config = tmp_path / "scenario.cfg"
     config.write_text(
-        "n_devices = 1\nsf_set = {12}\ntraffic = poisson\noffered_load = 1e6\n"
-        f"device_file = {tmp_path / 'devices.txt'}\n"
+        f"n_devices = 1\nsf_set = {{12}}\ntraffic = poisson\ndevice_file = {devices}\n"
     )
     proc = _run_cli("run", "--config", str(config))
     assert proc.returncode == 2
-    assert "offered_load" in proc.stderr and "Traceback" not in proc.stderr
+    assert f"{devices}:1: sf must be the sf_set's SF12 under poisson traffic" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def _sf7_device_file_config(tmp_path, **keys) -> RunConfig:
+    """Pure ALOHA at ~200k SF7 packet-times over a file of 100 SF7 devices."""
+    path = tmp_path / "devices.txt"
+    path.write_text("".join(f"{i} {100 + i} 0 0 7 100 1.0\n" for i in range(100)))
+    sim_time_s = 200_000 * phy.time_on_air(7, RunConfig(n_devices=1))
+    return RunConfig(
+        n_devices=100,
+        mac="aloha",
+        traffic="poisson",
+        device_file=str(path),
+        sim_time_s=sim_time_s,
+        **keys,
+    )
+
+
+def test_aloha_validation_times_the_load_at_the_devices_sf(tmp_path):
+    # Counted in SF8 packet-times, SF7 devices would read twice the ALOHA maximum.
+    with pytest.raises(ConfigError, match=r"devices\.txt:1: sf must be the sf_set's SF8"):
+        aloha_validation([0.5], _sf7_device_file_config(tmp_path, sf_set=(8,)))
+    (row,) = aloha_validation([0.5], _sf7_device_file_config(tmp_path, sf_set=(7,)))
+    assert abs(row["throughput"] - 0.184) <= 0.010  # the acceptance tolerance of C01
 
 
 @pytest.mark.parametrize("seed", ["1", "6"])
@@ -929,8 +957,8 @@ def _built(cfg, **attributes):
 
 TOO_SHORT_S = 1e-9  # rounds to 0 us: the event would reschedule at t = 0 forever
 # At this bandwidth the automatic sensing interval rounds to 0 us at SF7 but
-# not at SF12, so a config with sf_set = {12} is built, and only an SF7
-# device from outside its sf_set reaches the run gate with it.
+# not at SF12.  Any device may be SF7, so even a config with sf_set = {12}
+# is refused when built, before an SF7 device could reach the run gate.
 WIDE_SF12 = dict(bandwidth_hz=1e10, sf_set=(12,))
 
 
@@ -1030,9 +1058,16 @@ WIDE_SF12 = dict(bandwidth_hz=1e10, sf_set=(12,))
             lambda cfg: Simulation(
                 replace(cfg, **WIDE_SF12), _built(replace(cfg, **WIDE_SF12), sf=7)
             ),
-            ValueError,
-            "sensing interval for device 0",
+            ConfigError,
+            "sensing_interval_s gives .* at SF7, below 1 us",
             id="topology_of-sensing-sf-outside-sf_set",
+        ),
+        # Poisson arrivals are timed at the sf_set's SF (SF8 here).
+        pytest.param(
+            lambda cfg: Simulation(replace(cfg, traffic="poisson"), _devices(sf=9)),
+            ValueError,
+            "sf for device 0 must be the sf_set's SF8 under poisson traffic, got 9",
+            id="Topology-poisson-sf",
         ),
     ],
 )

@@ -1,7 +1,6 @@
 """Placement, attribute assignment, and vicinity-matrix behaviour."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -82,16 +81,14 @@ def test_vicinity_is_a_pure_function_of_inputs():
 
 
 def _full_distance_matrix(xyz):
-    # The unblocked formula, N x N x 3 temporary and all: the oracle.
+    # The distance formula over an N x N x 3 temporary: the oracle.
     diff = xyz[:, None, :] - xyz[None, :, :]
     return np.sqrt((diff**2).sum(axis=2))
 
 
-@pytest.mark.parametrize("block_cells", [topology.VICINITY_BLOCK_CELLS, 1000, 1])
-def test_row_blocks_match_the_full_distance_matrix(monkeypatch, block_cells):
+def test_vicinity_matches_the_full_distance_matrix(monkeypatch):
     # Each device's detect range is set to its exact oracle distance from
     # another device, so a last-bit difference in a distance flips an entry.
-    monkeypatch.setattr(topology, "VICINITY_BLOCK_CELLS", block_cells)
     rng = np.random.default_rng(2024)
     for _ in range(20):
         n = int(rng.integers(1, 401))
@@ -234,14 +231,16 @@ def test_device_file_rejects_bad_rows(tmp_path, line, match):
         load_device_file(path, RunConfig(n_devices=1))
 
 
-def test_device_file_checks_the_automatic_sensing_interval_of_each_row(tmp_path):
+def test_the_automatic_sensing_interval_is_checked_at_sf7_when_built(tmp_path):
     # Under a 10 GHz bandwidth, half the SF7 airtime rounds to 0 us while
-    # SF12's (the config's sf_set) lasts.
+    # SF12's (the config's sf_set) lasts: SF7 is any device's shortest, so
+    # the config is refused before any device file is read.
+    wide = dict(n_devices=2, sf_set=(12,), bandwidth_hz=1e10)
+    with pytest.raises(ConfigError, match="sensing_interval_s gives .* at SF7, below 1 us"):
+        RunConfig(**wide)
+    # A set interval is checked with the config and holds for every SF.
     path = tmp_path / "devices.txt"
     path.write_text("0 0 0 0 12 100 1.0\n1 0 0 0 7 100 1.0\n")
-    cfg = RunConfig(n_devices=2, sf_set=(12,), bandwidth_hz=1e10)
-    match = "devices.txt:2: sensing interval must be at least 1 us, got .* at SF7"
-    with pytest.raises(ConfigError, match=match):
-        load_device_file(path, cfg)
-    # A set interval was checked with the config and holds for every SF.
-    assert len(load_device_file(path, replace(cfg, sensing_interval_s=0.01))) == 2
+    cfg = RunConfig(**wide, sensing_interval_s=0.01)
+    assert len(load_device_file(path, cfg)) == 2
+    assert {phy.sensing_interval_s(sf, cfg) for sf in range(7, 13)} == {0.01}

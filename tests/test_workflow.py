@@ -1,8 +1,10 @@
-"""A step of the CI workflow, run here as the workflow runs it.
+"""Steps of the CI workflow, run here as the workflow runs them.
 
-The step builds configs with the command-line tool and checks the wording of
-an error, so running it keeps the workflow file and the code from drifting
-apart.  The long steps (full sweeps, the benchmark) stay in CI only.
+One step builds configs with the command-line tool and checks the wording of
+an error; another runs the Poisson (ALOHA) benchmark with numpy blocked and
+checks its CSV against ``perfbench/golden.json``.  Running them keeps the
+workflow file and the code from drifting apart.  The long steps (full sweeps,
+the benchmark) stay in CI only.
 """
 
 import os
@@ -10,24 +12,40 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 import yaml
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
-STEP = "The other two commands build their configs and finish"
 
 
-def test_the_workflow_command_step_passes(tmp_path):
+@pytest.mark.parametrize(
+    "step,expected",
+    [
+        pytest.param(
+            "The other two commands build their configs and finish",
+            "overflow.txt:1: x must be at most",
+            id="commands",
+        ),
+        pytest.param(
+            "The ALOHA benchmark gives its golden CSV with numpy blocked",
+            "aloha.csv: OK",
+            id="aloha-without-numpy",
+        ),
+    ],
+)
+def test_the_workflow_step_passes(tmp_path, step, expected):
     steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tests"]["steps"]
-    (script,) = [step["run"] for step in steps if step.get("name") == STEP]
-    # CI installs the package, which provides the `lorapcsma` entry point;
-    # a shim on PATH stands in for it.
+    (script,) = [s["run"] for s in steps if s.get("name") == step]
+    # CI installs the package, which provides the `lorapcsma` entry point,
+    # and runs `python` from its own interpreter; shims on PATH stand in.
     bin_dir = tmp_path / "bin"
     bin_dir.mkdir()
-    shim = bin_dir / "lorapcsma"
-    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m lorapcsma.cli "$@"\n')
-    shim.chmod(0o755)
+    for name, command in (("lorapcsma", "-m lorapcsma.cli "), ("python", "")):
+        shim = bin_dir / name
+        shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" {command}"$@"\n')
+        shim.chmod(0o755)
     env = {
         **os.environ,
         "PATH": f"{bin_dir}{os.pathsep}{os.environ['PATH']}",
@@ -43,4 +61,4 @@ def test_the_workflow_command_step_passes(tmp_path):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
-    assert "overflow.txt:1: x must be at most" in proc.stdout
+    assert expected in proc.stdout

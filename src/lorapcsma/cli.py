@@ -104,8 +104,7 @@ def _cmd_validate_aloha(args) -> int:
     cfg = RunConfig(
         n_devices=args.devices, mac="aloha", traffic="poisson", sf_set=(args.sf,), seed=args.seed
     )
-    toa_s = phy.time_on_air(args.sf, cfg)
-    cfg = replace(cfg, sim_time_s=args.packet_times * toa_s)
+    cfg = replace(cfg, sim_time_s=args.packet_times * cfg.packet_time_s())
     rows = aloha_validation(g_values, cfg)
     text = aloha_csv_text(rows)
     print(text, end="")

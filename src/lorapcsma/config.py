@@ -96,17 +96,21 @@ class RunConfig:
     def __post_init__(self) -> None:
         self.validate()
 
+    def packet_time_s(self) -> float:
+        """One airtime at the ``sf_set``'s first SF: the time unit of Poisson
+        traffic, whose ``sf_set`` holds that one SF."""
+        return phy.time_on_air(self.sf_set[0], self)
+
     def poisson_mean_gap_s(self) -> float:
-        """Mean gap between aggregate Poisson arrivals: one airtime at the
-        ``sf_set``'s one SF divided by ``offered_load``."""
-        sf = self.sf_set[0]
-        gap_s = phy.time_on_air(sf, self) / self.offered_load
+        """Mean gap between aggregate Poisson arrivals: one packet-time
+        divided by ``offered_load``."""
+        gap_s = self.packet_time_s() / self.offered_load
         # A gap that rounds to 0 us would schedule every arrival at one tick,
         # and a drawn gap (at most EXPONENTIAL_MAX means) must convert to us.
         if not (lasts_1us(gap_s) and math.isfinite(gap_s * EXPONENTIAL_MAX * US_PER_S)):
             raise ConfigError(
                 f"offered_load {self.offered_load:g} makes the mean Poisson gap "
-                f"{gap_s:.3g} s at SF{sf}: it must be at least 1 us, and "
+                f"{gap_s:.3g} s at SF{self.sf_set[0]}: it must be at least 1 us, and "
                 f"{EXPONENTIAL_MAX:.4g} times it finite in microseconds"
             )
         return gap_s

@@ -80,9 +80,10 @@ class PcsmaMac:
         self.ends_due = gateway.ends_due
         self.persistence = [float(d.persistence) for d in devices]
         # (x, y, z, detect range) per device; the range is the device's as a
-        # transmitter, at its SF and effective TX power.
+        # transmitter, at its SF and at the run's TX power less its fade.
+        tx = cfg.tx_power_dbm
         self.hearing = [
-            (d.x, d.y, d.z, phy.detect_range_m(d.sf, d.effective_tx_dbm, cfg)) for d in devices
+            (d.x, d.y, d.z, phy.detect_range_m(d.sf, tx - d.shadow_db, cfg)) for d in devices
         ]
         self.counters = counters
         self.records = records  # transmission log; None keeps none
@@ -90,7 +91,7 @@ class PcsmaMac:
         self.sf = [d.sf for d in devices]
         # Received power at the gateway, which sits at the origin.
         self.prx_dbm = [
-            phy.received_power_dbm(d.effective_tx_dbm, sqrt(d.x**2 + d.y**2 + d.z**2), cfg)
+            phy.received_power_dbm(tx - d.shadow_db, sqrt(d.x**2 + d.y**2 + d.z**2), cfg)
             for d in devices
         ]
         self.toa_us = [toa_us[d.sf] for d in devices]

@@ -55,11 +55,7 @@ def build_topology(cfg: RunConfig) -> list[topology.DeviceSpec]:
                 f"n_devices={cfg.n_devices} but {cfg.device_file!r} defines {len(devices)} devices"
             )
     else:
-        rng = RngStream(cfg.seed, STREAM_PLACEMENT)
-        positions = topology.place_clusters(cfg, rng)
-        devices = topology.assign_attributes(
-            positions, cfg.sf_set, cfg.period_set_s, cfg.p, cfg.tx_power_dbm
-        )
+        devices = topology.place_clusters(cfg, RngStream(cfg.seed, STREAM_PLACEMENT))
     if cfg.shadowing_sigma_db > 0:
         shadow_rng = RngStream(cfg.seed, STREAM_SHADOWING)
         for dev in devices:

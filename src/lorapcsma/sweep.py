@@ -9,7 +9,6 @@ from dataclasses import fields, replace
 from itertools import product
 from typing import BinaryIO
 
-from . import phy
 from .config import ConfigError, RunConfig, SweepGrid
 from .kernel import RngStream
 from .metrics import Counters, compute_prr
@@ -272,7 +271,7 @@ def aloha_validation(g_values, cfg: RunConfig) -> list[dict]:
         raise ConfigError("aloha_validation requires traffic = poisson")
     gs = [float(g) for g in g_values]
     counters = _run_all([replace(cfg, offered_load=g, seed=cfg.seed + i) for i, g in enumerate(gs)])
-    packet_times = cfg.sim_time_s / phy.time_on_air(cfg.sf_set[0], cfg)
+    packet_times = cfg.sim_time_s / cfg.packet_time_s()
     return [
         {"g": g, "throughput": c.received / packet_times, "theoretical": g * math.exp(-2.0 * g)}
         for g, c in zip(gs, counters)

@@ -1,4 +1,4 @@
-"""Device placement, attribute assignment, and the vicinity (non-hidden) matrix."""
+"""Device placement and the vicinity (non-hidden) matrix."""
 
 from __future__ import annotations
 
@@ -29,27 +29,23 @@ class GeometryError(ConfigError):
 class DeviceSpec:
     """One stationary end-device; positions are fixed for the whole run.
 
-    A device is known by its index in the run's device list.  ``offset_s`` is
-    its first firing in seconds; None follows ``cfg.offsets``.
+    A device is known by its index in the run's device list.  It transmits at
+    the run's ``cfg.tx_power_dbm`` less its fade ``shadow_db``.  ``offset_s``
+    is its first firing in seconds; None follows ``cfg.offsets``.
     """
 
     x: float
     y: float
     z: float
     sf: int
-    tx_power_dbm: float
     period_s: float
     persistence: float
     shadow_db: float = 0.0  # static per-device fade, drawn once at placement
     offset_s: float | None = None
 
-    @property
-    def effective_tx_dbm(self) -> float:
-        return self.tx_power_dbm - self.shadow_db
-
 
 # Device fields that enter the received powers and detect ranges of a run.
-FINITE_FIELDS = ("x", "y", "z", "tx_power_dbm", "shadow_db")
+FINITE_FIELDS = ("x", "y", "z", "shadow_db")
 # The largest magnitude of a coordinate, which keeps every squared distance
 # of a run finite, and of a power level in dBm or dB, which keeps the
 # effective and received powers finite.
@@ -126,12 +122,19 @@ def validate_geometry(cfg: RunConfig) -> None:
         )
 
 
-def place_clusters(cfg: RunConfig, rng: RngStream) -> list[tuple[float, float, float]]:
-    """Positions for ``cfg.n_devices``, uniform in each of ``cfg.n_areas`` discs
-    of ``cfg.cluster_radius_m``: their centres sit at equal angles on a ring of
-    ``cfg.ring_radius_m`` around the gateway, or on it for a single area."""
-    n_areas = cfg.n_areas
-    positions = []
+def place_clusters(cfg: RunConfig, rng: RngStream) -> list[DeviceSpec]:
+    """``cfg.n_devices`` devices, uniform in each of ``cfg.n_areas`` discs of
+    ``cfg.cluster_radius_m``: their centres sit at equal angles on a ring of
+    ``cfg.ring_radius_m`` around the gateway, or on it for a single area.
+
+    SFs and periods are dealt round-robin by device index from ``cfg.sf_set``
+    and ``cfg.period_set_s``, which spreads them equally across the devices
+    and, as each area takes a block of indices, within each area.
+    Persistence is ``cfg.p``, per device when it is a tuple.
+    """
+    n_areas, sfs, periods = cfg.n_areas, cfg.sf_set, cfg.period_set_s
+    p = cfg.p if isinstance(cfg.p, tuple) else (cfg.p,) * cfg.n_devices
+    devices = []
     for k, size in enumerate(cluster_sizes(cfg.n_devices, n_areas)):
         cx, cy = 0.0, 0.0
         if n_areas > 1:
@@ -140,43 +143,11 @@ def place_clusters(cfg: RunConfig, rng: RngStream) -> list[tuple[float, float, f
         for _ in range(size):
             r = cfg.cluster_radius_m * math.sqrt(rng.uniform())
             theta = 2.0 * math.pi * rng.uniform()
-            positions.append((cx + r * math.cos(theta), cy + r * math.sin(theta), 0.0))
-    return positions
-
-
-def assign_attributes(
-    positions: list[tuple[float, float, float]],
-    sf_set: tuple[int, ...],
-    period_set_s: tuple[float, ...],
-    p_policy: float | list[float],
-    tx_power_dbm: float = phy.DEFAULT_TX_POWER_DBM,
-) -> list[DeviceSpec]:
-    """Round-robin SFs and periods by device index; persistence from policy.
-
-    Round-robin realizes the equal distribution of SFs and periods across
-    devices (and, with block cluster assignment, within each area).
-    """
-    if not sf_set or not period_set_s:
-        raise ValueError("sf_set and period_set_s must be non-empty")
-    n = len(positions)
-    if isinstance(p_policy, (int, float)):
-        p_values = [float(p_policy)] * n
-    else:
-        if len(p_policy) != n:
-            raise ValueError(f"per-device p list has {len(p_policy)} entries for {n} devices")
-        p_values = [float(p) for p in p_policy]
-    return [
-        DeviceSpec(
-            x=pos[0],
-            y=pos[1],
-            z=pos[2],
-            sf=sf_set[i % len(sf_set)],
-            tx_power_dbm=tx_power_dbm,
-            period_s=period_set_s[i % len(period_set_s)],
-            persistence=p_values[i],
-        )
-        for i, pos in enumerate(positions)
-    ]
+            i = len(devices)
+            x, y = cx + r * math.cos(theta), cy + r * math.sin(theta)
+            sf, period = sfs[i % len(sfs)], periods[i % len(periods)]
+            devices.append(DeviceSpec(x, y, 0.0, sf, period, float(p[i])))
+    return devices
 
 
 def build_vicinity(devices: list[DeviceSpec], cfg: RunConfig) -> numpy.ndarray:
@@ -195,7 +166,8 @@ def build_vicinity(devices: list[DeviceSpec], cfg: RunConfig) -> numpy.ndarray:
     import numpy as np
 
     x, y, z = np.array([[d.x, d.y, d.z] for d in devices]).T
-    ranges = np.array([phy.detect_range_m(d.sf, d.effective_tx_dbm, cfg) for d in devices])
+    tx = cfg.tx_power_dbm
+    ranges = np.array([phy.detect_range_m(d.sf, tx - d.shadow_db, cfg) for d in devices])
     dx, dy, dz = (np.subtract.outer(c, c) for c in (x, y, z))
     matrix = np.sqrt((dx * dx + dy * dy) + dz * dz) <= ranges
     np.fill_diagonal(matrix, False)
@@ -228,7 +200,7 @@ def load_device_file(path: str | Path, cfg: RunConfig) -> list[DeviceSpec]:
             raise ConfigError(f"{path}:{lineno}: {exc}") from None
         if dev_id in rows:
             raise ConfigError(f"{path}:{lineno}: duplicate device id {dev_id}")
-        rows[dev_id] = DeviceSpec(x, y, z, sf, cfg.tx_power_dbm, period_s, p)
+        rows[dev_id] = DeviceSpec(x, y, z, sf, period_s, p)
         problem = device_problem(rows[dev_id], cfg)
         if problem is not None:
             raise ConfigError(f"{path}:{lineno}: {' '.join(problem)}")

@@ -12,10 +12,8 @@ from lorapcsma.mac import PcsmaMac
 from lorapcsma.simulation import RunResult, Simulation, build_topology
 
 
-def devices_at(positions, sf=8, period_s=100.0, p=1.0, tx_power_dbm=14.0):
-    return topology.assign_attributes(
-        [(x, y, 0.0) for x, y in positions], (sf,), (period_s,), p, tx_power_dbm
-    )
+def devices_at(positions, sf=8, period_s=100.0, p=1.0):
+    return [topology.DeviceSpec(x, y, 0.0, sf, period_s, p) for x, y in positions]
 
 
 def make_sim(devices, cfg: RunConfig | None = None, *, offsets_s=None, seed=1):

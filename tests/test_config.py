@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from lorapcsma import phy
 from lorapcsma.config import ConfigError, RunConfig, parse_config, parse_grid
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -88,6 +89,7 @@ def test_duplicate_key_rejected():
         ("n_devices = 10\ntraffic = poisson\noffered_load = nan\n", "offered_load"),
         ("n_devices = 10\nsensing_interval_s = inf\n", "sensing_interval_s"),
         ("n_devices = 10\ntx_power_dbm = nan\n", "tx_power_dbm"),
+        ("n_devices = 10\ntx_power_dbm = inf\n", "tx_power_dbm must be finite"),
         ("n_devices = 10\ncluster_radius_m = nan\n", "cluster_radius_m"),
         ("n_devices = 10\nshadowing_sigma_db = nan\n", "shadowing_sigma_db"),
         ("n_devices = 10\nseed = -3\n", "seed must be >= 0"),
@@ -107,6 +109,7 @@ def test_duplicate_key_rejected():
         ({"n_devices": 1, "sensing_interval_s": 1e303}, "sensing_interval_s"),
         ({"n_devices": 1, "traffic": "poisson", "offered_load": 1e-320}, "offered_load"),
         ({"n_devices": 1, "tx_power_dbm": 1e308}, "tx_power_dbm must be at most 1e\\+300"),
+        ({"n_devices": 1, "tx_power_dbm": -1e308}, "tx_power_dbm must be at most 1e\\+300"),
         ({"n_devices": 1, "reference_loss_db": -1e308}, "reference_loss_db must be at most"),
         ({"n_devices": 1, "bandwidth_hz": 1e-310}, "bandwidth_hz 1e-310 makes the SF12 airtime"),
         # The radio, path-loss and sensitivity rules name their key.
@@ -152,6 +155,12 @@ def test_invalid_values_are_named_errors(doc, match):
 def test_per_device_p_list():
     cfg = parse_config("n_devices = 3\np = {0.25, 0.5, 1.0}\n")
     assert cfg.p == (0.25, 0.5, 1.0)
+
+
+def test_poisson_traffic_is_timed_in_airtimes_at_the_sf_sets_sf():
+    cfg = RunConfig(n_devices=1, traffic="poisson", sf_set=(10,), offered_load=0.4)
+    assert cfg.packet_time_s() == phy.time_on_air(10, cfg)
+    assert cfg.poisson_mean_gap_s() == phy.time_on_air(10, cfg) / 0.4
 
 
 def test_sensing_interval_auto_or_number():

@@ -1,4 +1,5 @@
-"""Golden digests of the sweep CSV, of traces and of the ALOHA validation CSV.
+"""Golden digests of the sweep CSV, of traces, of the ALOHA validation CSV
+and of generated device lists.
 
 The digests pin the simulator's observable output for fixed seeds; a
 change that alters them changes behaviour, not just code.
@@ -7,6 +8,7 @@ change that alters them changes behaviour, not just code.
 import hashlib
 import io
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -14,8 +16,9 @@ import pytest
 from lorapcsma import phy, sweep
 from lorapcsma.config import RunConfig, SweepGrid, load_config
 from lorapcsma.metrics import write_csv, write_trace
-from lorapcsma.simulation import run_scenario
+from lorapcsma.simulation import build_topology, run_scenario
 from lorapcsma.sweep import aloha_csv_text, aloha_validation, run_sweep
+from lorapcsma.topology import DeviceSpec
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -23,6 +26,7 @@ SWEEP_CSV_SHA256 = "9aa4f336b99c2fc44e6e747fafc61756b04abe1e486401374df020537ae2
 MIXED_SF_TRACE_SHA256 = "dc387ea5632a30a6e3324e387108ee4a905ac24a5e93daa948f9c39026a57c07"
 DENSE_PCSMA_TRACE_SHA256 = "6310221eb0938265e985564131a71148ff47aa6d8b7ce1a6fa1f425702d70da9"
 ALOHA_CSV_SHA256 = "68332511ef10cb9cbeebd73b0211620a1fc22527534e7e8ed0beaf5e4c04528e"
+DEVICES_SHA256 = "c6c23050d3e33e92afa66ec66a235ca71111c01b6c94e0259d2fec86f9d343e6"
 ALL_OUTCOMES_TRACE_SHA256 = {
     "pcsma": "fcaf16f9bdd8df434bf9fae343c8f226a0c61187173fd9130e65b64d382b3fe8",
     "aloha": "f048e5460367662c40a561e4a68c936eb8384b693934096106057a2be13a1c20",
@@ -145,3 +149,33 @@ def test_aloha_validation_csv_matches_golden_digest():
     )
     text = aloha_csv_text(aloha_validation([0.5], cfg))
     assert hashlib.sha256(text.encode()).hexdigest() == ALOHA_CSV_SHA256
+
+
+def test_generated_devices_match_golden_digest(tmp_path):
+    # Every field of every device build_topology returns, placed or read
+    # from a file, with and without fades; a per-device p tuple for n = 7.
+    path = tmp_path / "devices.txt"
+    path.write_text("0 -2500 0 0 8 100 1.0\n2 0 10 0 9 300 0.25\n1 2500 0 0 8 100 0.5\n")
+    configs = [
+        RunConfig(
+            n_devices=n,
+            n_areas=areas,
+            sf_set=sf_set,
+            p=tuple((i + 1) / 8 for i in range(n)) if n == 7 else 0.25,
+            shadowing_sigma_db=sigma,
+            seed=3,
+        )
+        for n in (7, 60)
+        for areas in (1, 3)
+        for sf_set in ((8,), (8, 9, 10))  # with the five default periods
+        for sigma in (0.0, 8.0)
+    ]
+    configs += [
+        RunConfig(n_devices=3, device_file=str(path), shadowing_sigma_db=sigma)
+        for sigma in (0.0, 8.0)
+    ]
+    names = [f.name for f in fields(DeviceSpec)]
+    devices = [d for cfg in configs for d in build_topology(cfg)]
+    lines = [f"{[getattr(d, name) for name in names]!r}\n" for d in devices]
+    assert len(lines) == 8 * (7 + 60) + 2 * 3
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == DEVICES_SHA256

@@ -1,5 +1,7 @@
 """MAC state machine: sensing, claiming, back-off, persistence, ALOHA mode."""
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import devices_at, hidden_star_positions, make_sim
@@ -22,6 +24,17 @@ class FakeRng:
 
 def packet(device):
     return TxRecord(device, 8, 0, SF8_TOA_US, -100.0)
+
+
+def test_a_device_sends_at_the_config_power_less_its_fade():
+    # A per-device power is a fade: at 4 dBm a -10 dB fade gives the 14 dBm
+    # device, in gateway power and detect range alike; a +10 dB one does not.
+    devices = devices_at([(0.0, 0.0), (3000.0, 0.0)])
+    plain = make_sim(devices).mac
+    for fade, same in ((-10.0, True), (10.0, False)):
+        faded = [replace(d, shadow_db=fade) for d in devices]
+        mac = make_sim(faded, RunConfig(n_devices=2, tx_power_dbm=4.0)).mac
+        assert (mac.prx_dbm == plain.prx_dbm and mac.hearing == plain.hearing) is same
 
 
 def test_sense_over_vicinity_set():

@@ -31,9 +31,15 @@ def run_configs(draw):
     # Poisson traffic needs one packet-time, so a single SF.
     max_sfs = 1 if traffic == "poisson" else 3
     sf_set = draw(st.lists(st.integers(7, 12), min_size=1, max_size=max_sfs, unique=True))
+    interval = draw(st.none() | st.floats(0.001, 1.0))
+    # A device in back-off polls once per sensing interval, so a 1 ms interval
+    # over 300 s of busy channel is 300k polls per device (8.5M events for 30
+    # SF12 devices).  The run is cut to at most 30k intervals: 10-30 s at
+    # 1 ms, the full 10-300 s from 10 ms and under auto (half an airtime).
+    max_time_s = 300.0 if interval is None else min(300.0, 3e4 * interval)
     fields = dict(
         n_devices=n,
-        sim_time_s=draw(st.floats(10.0, 300.0)),
+        sim_time_s=draw(st.floats(10.0, max_time_s)),
         mac=draw(st.sampled_from(("pcsma", "aloha"))),
         traffic=traffic,
         period_set_s=tuple(draw(st.lists(st.floats(1.0, 300.0), min_size=1, max_size=3))),
@@ -43,7 +49,7 @@ def run_configs(draw):
         cluster_radius_m=draw(st.floats(0.0, 400.0)),
         ring_radius_m=draw(st.floats(2000.0, 6000.0)),
         offsets=draw(st.sampled_from(("zero", "uniform"))),
-        sensing_interval_s=draw(st.none() | st.floats(0.001, 1.0)),
+        sensing_interval_s=interval,
         offered_load=draw(st.floats(0.05, 2.0)),
         duty_cycle_enforce=draw(st.booleans()),
         seed=draw(st.integers(0, 2**31)),
@@ -243,15 +249,16 @@ def test_a_sweep_equals_one_run_per_point(case):
 SF10_RANGE_M = phy.detect_range_m(10, 14.0, RunConfig(n_devices=1))
 
 
-def _device(x, y=0.0, z=0.0, sf=8, tx_power_dbm=14.0, shadow_db=0.0):
-    return DeviceSpec(x, y, z, sf, tx_power_dbm, 100.0, 1.0, shadow_db)
+def _device(x, y=0.0, z=0.0, sf=8, shadow_db=0.0):
+    return DeviceSpec(x, y, z, sf, 100.0, 1.0, shadow_db)
 
 
 @st.composite
 def devices_and_toggles(draw):
     n = draw(st.integers(1, 12))
-    # Distances up to ~14 km against detect ranges of ~0.5-17 km (SF, power
-    # and fade all vary) give both outcomes.
+    # Distances up to ~14 km against detect ranges of ~0.5-17 km (SF and
+    # fade vary) give both outcomes.  Less a fade in [-16, 29] dB, the run's
+    # 14 dBm spans effective powers of [-15, 30] dBm.
     coordinate = st.floats(-5000.0, 5000.0)
     devices = [
         _device(
@@ -259,8 +266,7 @@ def devices_and_toggles(draw):
             draw(coordinate),
             draw(st.floats(-300.0, 300.0)),
             sf=draw(st.integers(phy.SF_MIN, phy.SF_MAX)),
-            tx_power_dbm=draw(st.floats(-5.0, 20.0)),
-            shadow_db=draw(st.floats(-10.0, 10.0)),
+            shadow_db=draw(st.floats(-16.0, 29.0)),
         )
         for _ in range(n)
     ]

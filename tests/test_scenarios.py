@@ -418,16 +418,16 @@ def test_device_file_count_mismatch(tmp_path):
 def test_device_file_draws_shadowing(tmp_path):
     path = tmp_path / "devices.txt"
     path.write_text("0 100 0 0 8 100 1.0\n1 200 0 0 8 100 1.0\n2 300 0 0 8 100 1.0\n")
-    tx_dbm = {
+    fades = {
         sigma: [
-            d.effective_tx_dbm
+            d.shadow_db
             for d in build_topology(
                 RunConfig(n_devices=3, device_file=str(path), shadowing_sigma_db=sigma, seed=1)
             )
         ]
         for sigma in (0.0, 12.0)
     }
-    assert all(a != b for a, b in zip(tx_dbm[0.0], tx_dbm[12.0]))
+    assert all(a != b for a, b in zip(fades[0.0], fades[12.0]))
 
 
 def test_cli_device_file_fault_exits_2_naming_the_line(tmp_path):
@@ -1079,7 +1079,7 @@ def test_simulation_refuses_a_device_its_event_loop_cannot_finish(start, error, 
     assert error is ConfigError or not isinstance(refused.value, ConfigError)
 
 
-FIELDS = ("x", "y", "z", "tx_power_dbm", "shadow_db")
+FIELDS = ("x", "y", "z", "shadow_db")
 
 
 @pytest.mark.parametrize(

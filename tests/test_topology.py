@@ -1,4 +1,4 @@
-"""Placement, attribute assignment, and vicinity-matrix behaviour."""
+"""Placement, round-robin attributes, and vicinity-matrix behaviour."""
 
 import math
 
@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import device_areas
-from lorapcsma import phy, topology
+from lorapcsma import phy
 from lorapcsma.config import ConfigError, RunConfig
 from lorapcsma.kernel import RngStream
 from lorapcsma.topology import (
+    DeviceSpec,
     GeometryError,
-    assign_attributes,
     build_vicinity,
     cluster_sizes,
     load_device_file,
@@ -22,12 +22,8 @@ CFG = RunConfig(n_devices=1)  # the PHY defaults
 
 
 def _devices(positions, sfs):
-    return assign_attributes(
-        [(x, y, 0.0) for x, y in positions],
-        tuple(sfs) if isinstance(sfs, (list, tuple)) else (sfs,),
-        (100.0,),
-        1.0,
-    )
+    sfs = sfs if isinstance(sfs, list) else [sfs] * len(positions)
+    return [DeviceSpec(x, y, 0.0, sf, 100.0, 1.0) for (x, y), sf in zip(positions, sfs)]
 
 
 def test_cluster_sizes():
@@ -40,15 +36,14 @@ def test_cluster_sizes():
 def test_place_clusters_respects_geometry():
     cfg = RunConfig(n_devices=30, n_areas=3, cluster_radius_m=100.0)
     rng = RngStream(11, "placement")
-    positions = place_clusters(cfg, rng)
-    assert len(positions) == 30
+    devices = place_clusters(cfg, rng)
+    assert len(devices) == 30
     for k in range(3):
         angle = 2.0 * math.pi * k / 3
         cx, cy = cfg.ring_radius_m * math.cos(angle), cfg.ring_radius_m * math.sin(angle)
-        members = positions[10 * k : 10 * (k + 1)]
-        for x, y, z in members:
-            assert z == 0.0
-            assert np.hypot(x - cx, y - cy) <= cfg.cluster_radius_m + 1e-9
+        for d in devices[10 * k : 10 * (k + 1)]:
+            assert d.z == 0.0
+            assert np.hypot(d.x - cx, d.y - cy) <= cfg.cluster_radius_m + 1e-9
 
 
 def test_mutual_visibility_and_hiding():
@@ -73,8 +68,8 @@ def test_mixed_sf_vicinity_can_be_asymmetric():
 
 def test_vicinity_is_a_pure_function_of_inputs():
     rng = RngStream(5, "placement")
-    positions = place_clusters(RunConfig(n_devices=12, n_areas=2), rng)
-    devices = assign_attributes(positions, (8, 9), (100.0, 200.0), 0.5)
+    cfg = RunConfig(n_devices=12, n_areas=2, sf_set=(8, 9), period_set_s=(100.0, 200.0), p=0.5)
+    devices = place_clusters(cfg, rng)
     first = build_vicinity(devices, CFG)
     second = build_vicinity(devices, CFG)
     assert np.array_equal(first, second)
@@ -89,6 +84,7 @@ def _full_distance_matrix(xyz):
 def test_vicinity_matches_the_full_distance_matrix(monkeypatch):
     # Each device's detect range is set to its exact oracle distance from
     # another device, so a last-bit difference in a distance flips an entry.
+    # Device i has fade i dB, so its power less the fade names its range.
     rng = np.random.default_rng(2024)
     for _ in range(20):
         n = int(rng.integers(1, 401))
@@ -96,9 +92,11 @@ def test_vicinity_matches_the_full_distance_matrix(monkeypatch):
         dist = _full_distance_matrix(xyz)
         ranges = dist[rng.integers(0, n, size=n), np.arange(n)]
         devices = [
-            topology.DeviceSpec(*map(float, xyz[i]), 8, float(i), 100.0, 1.0) for i in range(n)
+            DeviceSpec(*map(float, xyz[i]), 8, 100.0, 1.0, float(i)) for i in range(n)
         ]
-        monkeypatch.setattr(phy, "detect_range_m", lambda sf, tx, cfg: ranges[int(tx)])
+        monkeypatch.setattr(
+            phy, "detect_range_m", lambda sf, tx, cfg: ranges[round(cfg.tx_power_dbm - tx)]
+        )
         expected = dist <= ranges[None, :]
         np.fill_diagonal(expected, False)
         assert np.array_equal(build_vicinity(devices, CFG), expected)
@@ -113,9 +111,7 @@ def test_vicinity_refuses_a_spreading_factor_without_a_sensitivity(sf):
 
 def test_single_cluster_uniform_sf_matrix_symmetric():
     rng = RngStream(6, "placement")
-    devices = assign_attributes(
-        place_clusters(RunConfig(n_devices=15), rng), (8,), (100.0,), 1.0
-    )
+    devices = place_clusters(RunConfig(n_devices=15), rng)
     matrix = build_vicinity(devices, CFG)
     assert np.array_equal(matrix, matrix.T)
     assert matrix.sum() == 15 * 14  # 150 m disc: everyone hears everyone
@@ -124,7 +120,7 @@ def test_single_cluster_uniform_sf_matrix_symmetric():
 def test_hidden_areas_make_block_diagonal_matrix():
     cfg = RunConfig(n_devices=10, n_areas=2)  # building it checks the geometry
     rng = RngStream(9, "placement")
-    devices = assign_attributes(place_clusters(cfg, rng), (8,), (100.0,), 1.0)
+    devices = place_clusters(cfg, rng)
     matrix = build_vicinity(devices, CFG)
     areas = device_areas(10, 2)
     for i in range(10):
@@ -133,23 +129,18 @@ def test_hidden_areas_make_block_diagonal_matrix():
                 assert not matrix[i, j]
 
 
-def test_assign_attributes_round_robin():
-    positions = [(float(i), 0.0, 0.0) for i in range(10)]
-    devices = assign_attributes(positions, (8,), (100.0, 200.0, 300.0, 400.0, 500.0), 0.25)
-    periods = [d.period_s for d in devices]
-    assert all(periods.count(p) == 2 for p in (100.0, 200.0, 300.0, 400.0, 500.0))
+def test_place_clusters_deals_attributes_round_robin():
+    rng = RngStream(1, "placement")
+    devices = place_clusters(RunConfig(n_devices=10, p=0.25), rng)  # five default periods
+    assert [d.period_s for d in devices] == [100.0, 200.0, 300.0, 400.0, 500.0] * 2
     assert all(d.persistence == 0.25 for d in devices)
 
-    devices = assign_attributes(positions[:9], (8, 9, 10), (100.0,), 1.0)
-    sfs = [d.sf for d in devices]
-    assert all(sfs.count(sf) == 3 for sf in (8, 9, 10))
+    devices = place_clusters(RunConfig(n_devices=9, n_areas=3, sf_set=(8, 9, 10)), rng)
+    assert [d.sf for d in devices] == [8, 9, 10] * 3  # and so one of each per area
 
-
-def test_assign_attributes_rejects_bad_p():
-    # A p outside (0, 1] is refused by the run gate (Simulation), not here.
-    positions = [(0.0, 0.0, 0.0)]
-    with pytest.raises(ValueError):
-        assign_attributes(positions, (8,), (100.0,), [0.5, 0.5])  # wrong length
+    # A per-device p is taken by index; validate() owns its length.
+    p = (0.1, 0.2, 0.3)
+    assert [d.persistence for d in place_clusters(RunConfig(n_devices=3, p=p), rng)] == list(p)
 
 
 def test_geometry_error_names_the_violated_bound():

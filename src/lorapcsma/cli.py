@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import phy
 from .config import ConfigError, RunConfig, load_config, load_grid
-from .metrics import compute_prr, write_csv, write_trace
+from .metrics import PRR_COLUMNS, Counters, aloha_csv_text, result_row, write_csv, write_trace
 from .simulation import run_scenario
-from .sweep import aloha_csv_text, aloha_validation, result_row, run_sweep
+from .sweep import aloha_validation, run_sweep
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,21 +55,9 @@ def _cmd_run(args) -> int:
     result = run_scenario(cfg, keep_records=bool(args.trace))
     scenario = Path(args.config).stem
     row = result_row(scenario, cfg.seed, cfg, result.counters)
-    prr_generated, prr_sent = compute_prr(result.counters)
-    c = result.counters
     print(f"scenario={scenario} seed={cfg.seed} mac={cfg.mac} devices={cfg.n_devices}")
-    print(
-        f"generated={c.generated} sent={c.sent} suppressed={c.suppressed} "
-        f"received={c.received} collided={c.collided} "
-        f"under_sensitivity={c.under_sensitivity} no_path={c.no_path} "
-        f"pending_at_end={c.pending_at_end}"
-    )
-    print(
-        "prr_generated="
-        + (f"{prr_generated:.6f}" if prr_generated is not None else "undefined")
-        + " prr_sent="
-        + (f"{prr_sent:.6f}" if prr_sent is not None else "undefined")
-    )
+    print(*(f"{f.name}={getattr(result.counters, f.name)}" for f in fields(Counters)))
+    print(*(f"{k}=undefined" if row[k] is None else f"{k}={row[k]:.6f}" for k in PRR_COLUMNS))
     if args.out:
         with open(args.out, "w") as out:
             write_csv([row], out)

@@ -57,8 +57,6 @@ class GatewayPhy:
     """
 
     def __init__(self, n_paths: int, row: tuple[float, ...], counters: Counters) -> None:
-        if n_paths < 1:
-            raise ValueError("the gateway needs at least one demodulation path")
         self.n_paths = n_paths
         self.on_air: dict[int, TxRecord] = {}
         self.bound: dict[int, TxRecord] = {}
@@ -104,7 +102,7 @@ class GatewayPhy:
         while ends and ends[0] < key:
             self.on_tx_end(heappop(ends)[2])
 
-    def on_tx_end(self, rec: TxRecord) -> Outcome:
+    def on_tx_end(self, rec: TxRecord) -> None:
         """Take the sender off air, release its path and count its outcome."""
         self._take_off_air(rec)
         outcome = rec.outcome
@@ -118,7 +116,6 @@ class GatewayPhy:
             c.under_sensitivity += 1
         else:
             c.no_path += 1
-        return outcome
 
     def abort(self, rec: TxRecord) -> None:
         """Cut a packet off at the end of the run: take it off air and release

@@ -60,11 +60,11 @@ class Scheduler:
         self._seq += 1
         return self._seq
 
-    def run_until(self, until_us: int) -> int:
+    def run_until(self, until_us: int) -> None:
         """Execute all events with fire time <= ``until_us`` in order.
 
         The clock ends at ``until_us`` even if the queue empties earlier;
-        later events stay queued.  Returns the number of events executed.
+        later events stay queued.  ``executed`` grows by their number.
         """
         heap = self.heap
         executed = 0
@@ -74,7 +74,6 @@ class Scheduler:
             executed += 1
         self.now_us = max(self.now_us, until_us)
         self.executed += executed
-        return executed
 
 
 # The keys of the simulator's four stream labels, precomputed: importing

@@ -22,6 +22,7 @@ is ignored, as the matrix's diagonal is false.
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappush
 from math import sqrt
 
@@ -32,8 +33,8 @@ from .kernel import Scheduler, RngStream, US_PER_S, us_from_s
 from .metrics import Counters
 from .topology import DeviceSpec, device_problem
 
-DUTY_CYCLE_LIMIT = 0.01
 DUTY_WINDOW_US = 3600 * US_PER_S
+DUTY_BUDGET_US = DUTY_WINDOW_US // 100  # 1% of the sliding hour
 
 
 def shall_it_pass(p: float, rng: RngStream) -> bool:
@@ -98,10 +99,13 @@ class PcsmaMac:
         self.periodic = cfg.traffic == "periodic"
         self.aloha = cfg.mac == "aloha"
         self.duty_cycle_enforce = cfg.duty_cycle_enforce
+        if self.duty_cycle_enforce:
+            # A device's airtime is fixed, so its hour is full once it holds
+            # K = budget // airtime of its starts: keep the last K.
+            self.duty_starts = [deque(maxlen=DUTY_BUDGET_US // toa) for toa in self.toa_us]
 
         self.backoff = [False] * n
         self.persistence_draws = 0  # values drawn for shall_it_pass
-        self._duty_log: list[list[tuple[int, int]]] = [[] for _ in range(n)]
 
     # -- sensing ---------------------------------------------------------
 
@@ -183,7 +187,7 @@ class PcsmaMac:
             self.gateway.on_tx_start(rec)
             heappush(self.ends_due, (now + toa, sched.reserve(), rec))  # no event: see expire
             if self.duty_cycle_enforce:
-                self._duty_log[device].append((now, toa))
+                self.duty_starts[device].append(now)
         if self.periodic:
             # The run gate proves every period >= 1 us: never in the past.
             at_us = now + self.period_us[device]
@@ -192,8 +196,7 @@ class PcsmaMac:
     # -- duty cycle guard (off by default) ---------------------------------
 
     def _duty_exceeded(self, device: int, now: int) -> bool:
-        # Counts whole transmissions starting within the sliding hour.
-        log = [(s, d) for s, d in self._duty_log[device] if s >= now - DUTY_WINDOW_US]
-        self._duty_log[device] = log
-        used = sum(d for _, d in log)
-        return used + self.toa_us[device] > DUTY_CYCLE_LIMIT * DUTY_WINDOW_US
+        """Whether this packet's airtime, added to that of the device's starts
+        in the past hour, exceeds 1% of it: iff all K kept starts lie there."""
+        starts = self.duty_starts[device]
+        return len(starts) == starts.maxlen and (not starts or starts[0] >= now - DUTY_WINDOW_US)

@@ -1,32 +1,14 @@
-"""Run counters, PRR computation, and CSV/trace emission."""
+"""Run counters and every output format: result rows and their CSV, the
+transmission trace, and the ALOHA validation CSV."""
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
-from typing import TextIO
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, TextIO
 
-RESULT_COLUMNS = [
-    "scenario",
-    "seed",
-    "mac",
-    "n_devices",
-    "sf_set",
-    "p",
-    "n_areas",
-    "period_set",
-    "generated",
-    "sent",
-    "suppressed",
-    "received",
-    "collided",
-    "under_sensitivity",
-    "no_path",
-    "prr_generated",
-    "prr_sent",
-]
-
-TRACE_COLUMNS = ["device", "sf", "air_start_s", "air_end_s", "prx_dbm", "outcome"]
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 
 @dataclass
@@ -54,12 +36,49 @@ class Counters:
             raise RuntimeError(f"counter identity violated: generated mismatch in {self}")
 
 
+# A result row: the cell a run belongs to, its counts (every counter but
+# ``pending_at_end``) and its two PRRs.
+CELL_COLUMNS = ("scenario", "seed", "mac", "n_devices", "sf_set", "p", "n_areas", "period_set")
+COUNTED = tuple(f.name for f in fields(Counters) if f.name != "pending_at_end")
+PRR_COLUMNS = ("prr_generated", "prr_sent")
+RESULT_COLUMNS = [*CELL_COLUMNS, *COUNTED, *PRR_COLUMNS]
+
+TRACE_COLUMNS = ["device", "sf", "air_start_s", "air_end_s", "prx_dbm", "outcome"]
+
+
 def compute_prr(c: Counters) -> tuple[float | None, float | None]:
     """(received/generated, received/sent); None marks an empty denominator."""
     c.check()
     prr_generated = c.received / c.generated if c.generated else None
     prr_sent = c.received / c.sent if c.sent else None
     return prr_generated, prr_sent
+
+
+def _fmt_set(values) -> str:
+    return "{" + ",".join(f"{v:g}" for v in values) + "}"
+
+
+def _fmt_p(p) -> str:
+    if isinstance(p, tuple):
+        return "{" + "|".join(f"{v:.6f}" for v in p) + "}"
+    return f"{p:.6f}"
+
+
+def cell_row(scenario: str, seed, cfg: RunConfig) -> dict:
+    """The columns that name a run or a summary row: scenario, seed, cell."""
+    values = (
+        scenario, seed, cfg.mac, cfg.n_devices, _fmt_set(cfg.sf_set), _fmt_p(cfg.p),
+        cfg.n_areas, _fmt_set(cfg.period_set_s),
+    )
+    return dict(zip(CELL_COLUMNS, values, strict=True))
+
+
+def result_row(scenario: str, seed, cfg: RunConfig, counters: Counters) -> dict:
+    """One run's row: its cell, its counts and its two PRRs."""
+    row = cell_row(scenario, seed, cfg)
+    row.update((name, getattr(counters, name)) for name in COUNTED)
+    row.update(zip(PRR_COLUMNS, compute_prr(counters)))
+    return row
 
 
 def _fmt(value) -> str:
@@ -107,3 +126,11 @@ def write_trace(records, out: TextIO) -> None:
             )
         )
     out.write("\n".join(lines) + "\n")
+
+
+def aloha_csv_text(rows: list[dict]) -> str:
+    """The ALOHA validation CSV: offered load, measured and theoretical throughput."""
+    lines = ["g,throughput,theoretical"]
+    for row in rows:
+        lines.append(f"{row['g']:.6f},{row['throughput']:.6f},{row['theoretical']:.6f}")
+    return "\n".join(lines) + "\n"

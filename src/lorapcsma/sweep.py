@@ -11,48 +11,8 @@ from typing import BinaryIO
 
 from .config import ConfigError, RunConfig, SweepGrid
 from .kernel import RngStream
-from .metrics import Counters, compute_prr
+from .metrics import Counters, cell_row, result_row
 from .simulation import STREAM_PERSISTENCE, run_scenario
-
-
-def _fmt_set(values) -> str:
-    return "{" + ",".join(f"{v:g}" for v in values) + "}"
-
-
-def _fmt_p(p) -> str:
-    if isinstance(p, tuple):
-        return "{" + "|".join(f"{v:.6f}" for v in p) + "}"
-    return f"{p:.6f}"
-
-
-def _cell_row(scenario: str, seed, cfg: RunConfig) -> dict:
-    """The columns that name a run or a summary row: scenario, seed, cell."""
-    return {
-        "scenario": scenario,
-        "seed": seed,
-        "mac": cfg.mac,
-        "n_devices": cfg.n_devices,
-        "sf_set": _fmt_set(cfg.sf_set),
-        "p": _fmt_p(cfg.p),
-        "n_areas": cfg.n_areas,
-        "period_set": _fmt_set(cfg.period_set_s),
-    }
-
-
-def result_row(scenario: str, seed, cfg: RunConfig, counters: Counters) -> dict:
-    prr_generated, prr_sent = compute_prr(counters)
-    return {
-        **_cell_row(scenario, seed, cfg),
-        "generated": counters.generated,
-        "sent": counters.sent,
-        "suppressed": counters.suppressed,
-        "received": counters.received,
-        "collided": counters.collided,
-        "under_sensitivity": counters.under_sensitivity,
-        "no_path": counters.no_path,
-        "prr_generated": prr_generated,
-        "prr_sent": prr_sent,
-    }
 
 
 def scenario_name(n_devices: int, sf_set, p, n_areas: int) -> str:
@@ -255,7 +215,7 @@ def run_sweep(base_cfg: RunConfig, grid: SweepGrid) -> list[dict]:
             ("mean", statistics.mean(prrs) if prrs else None),
             ("stddev", statistics.pstdev(prrs) if prrs else None),
         ):
-            rows.append({**_cell_row(name, label, points[0]), "prr_generated": value})
+            rows.append({**cell_row(name, label, points[0]), "prr_generated": value})
     return rows
 
 
@@ -276,12 +236,3 @@ def aloha_validation(g_values, cfg: RunConfig) -> list[dict]:
         {"g": g, "throughput": c.received / packet_times, "theoretical": g * math.exp(-2.0 * g)}
         for g, c in zip(gs, counters)
     ]
-
-
-def aloha_csv_text(rows: list[dict]) -> str:
-    lines = ["g,throughput,theoretical"]
-    for row in rows:
-        lines.append(
-            f"{row['g']:.6f},{row['throughput']:.6f},{row['theoretical']:.6f}"
-        )
-    return "\n".join(lines) + "\n"

@@ -83,7 +83,7 @@ class EagerAirEndMac(PcsmaMac):
             self.gateway.on_tx_start(rec)
             sched.schedule(now + toa, self.gateway.on_tx_end, rec)
             if self.duty_cycle_enforce:
-                self._duty_log[device].append((now, toa))
+                self.duty_starts[device].append(now)
         if self.periodic:
             sched.schedule(now + self.period_us[device], self.generate, device)
 

@@ -74,7 +74,8 @@ def test_lone_packet_received():
     gw, counters = make_gateway()
     r = rec(0, 0)
     gw.on_tx_start(r)
-    assert gw.on_tx_end(r) is Outcome.RECEIVED
+    gw.on_tx_end(r)
+    assert r.outcome is Outcome.RECEIVED
     assert counters.received == 1 and counters.sent == 1
     assert gw.on_air == {} and gw.bound == {}
 
@@ -85,8 +86,10 @@ def test_same_sf_overlap_collides_both():
     gw.on_tx_start(a)
     gw.on_tx_start(b)
     assert a.outcome is b.outcome is Outcome.COLLIDED  # symmetric
-    assert gw.on_tx_end(a) is Outcome.COLLIDED
-    assert gw.on_tx_end(b) is Outcome.COLLIDED
+    gw.on_tx_end(a)
+    assert a.outcome is Outcome.COLLIDED
+    gw.on_tx_end(b)
+    assert b.outcome is Outcome.COLLIDED
     assert counters.collided == 2
     assert gw.on_air == {}
 
@@ -96,8 +99,10 @@ def test_different_sf_overlap_is_orthogonal():
     a, b = rec(0, 0, sf=8), rec(1, 100, sf=9)
     gw.on_tx_start(a)
     gw.on_tx_start(b)
-    assert gw.on_tx_end(a) is Outcome.RECEIVED
-    assert gw.on_tx_end(b) is Outcome.RECEIVED
+    gw.on_tx_end(a)
+    assert a.outcome is Outcome.RECEIVED
+    gw.on_tx_end(b)
+    assert b.outcome is Outcome.RECEIVED
 
 
 def test_under_sensitivity_drops_without_interfering():
@@ -109,8 +114,10 @@ def test_under_sensitivity_drops_without_interfering():
     assert list(gw.on_air) == [0, 1]
     assert list(gw.bound) == [1]  # the weak packet holds no path
     assert strong.outcome is Outcome.RECEIVED
-    assert gw.on_tx_end(weak) is Outcome.UNDER_SENSITIVITY
-    assert gw.on_tx_end(strong) is Outcome.RECEIVED
+    gw.on_tx_end(weak)
+    assert weak.outcome is Outcome.UNDER_SENSITIVITY
+    gw.on_tx_end(strong)
+    assert strong.outcome is Outcome.RECEIVED
     assert counters.under_sensitivity == 1
     assert gw.on_air == {}  # every case takes the sender off air
 
@@ -123,7 +130,9 @@ def test_ninth_concurrent_packet_is_path_rejected():
     assert list(gw.bound) == list(range(8))  # bound in FIFO order
     assert len(gw.on_air) == 9
     assert packets[8].outcome is Outcome.NO_DEMOD_PATH
-    outcomes = [gw.on_tx_end(r) for r in packets]
+    for r in packets:
+        gw.on_tx_end(r)
+    outcomes = [r.outcome for r in packets]
     assert outcomes[:8] == [Outcome.COLLIDED] * 8
     assert outcomes[8] is Outcome.NO_DEMOD_PATH
     assert counters.no_path == 1 and counters.collided == 8
@@ -140,7 +149,8 @@ def test_path_rejected_packet_does_not_taint():
     gw.on_tx_start(b)
     assert b.outcome is Outcome.NO_DEMOD_PATH
     assert a.outcome is Outcome.RECEIVED
-    assert gw.on_tx_end(a) is Outcome.RECEIVED
+    gw.on_tx_end(a)
+    assert a.outcome is Outcome.RECEIVED
 
 
 def test_paths_are_released_and_reused():
@@ -169,7 +179,8 @@ def test_abort_releases_the_path_without_an_outcome():
     b = rec(1, 10)
     gw.on_tx_start(b)
     assert gw.bound == {1: b}
-    assert gw.on_tx_end(b) is Outcome.RECEIVED
+    gw.on_tx_end(b)
+    assert b.outcome is Outcome.RECEIVED
     assert gw.starts == gw.ends == 2
 
 
@@ -181,8 +192,10 @@ def test_touching_intervals_do_not_collide():
     gw.on_tx_start(a)
     gw.on_tx_start(b)
     assert a.outcome is b.outcome is Outcome.RECEIVED
-    assert gw.on_tx_end(a) is Outcome.RECEIVED
-    assert gw.on_tx_end(b) is Outcome.RECEIVED
+    gw.on_tx_end(a)
+    assert a.outcome is Outcome.RECEIVED
+    gw.on_tx_end(b)
+    assert b.outcome is Outcome.RECEIVED
 
 
 def test_air_end_for_unknown_packet_is_an_error():

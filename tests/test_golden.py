@@ -1,5 +1,5 @@
-"""Golden digests of the sweep CSV, of traces, of the ALOHA validation CSV
-and of generated device lists.
+"""Golden digests of the sweep CSV, of traces, of the ALOHA validation CSV,
+of the `run` command's output and of generated device lists.
 
 The digests pin the simulator's observable output for fixed seeds; a
 change that alters them changes behaviour, not just code.
@@ -13,11 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from lorapcsma import phy, sweep
+from lorapcsma import cli, phy, sweep
 from lorapcsma.config import RunConfig, SweepGrid, load_config
-from lorapcsma.metrics import write_csv, write_trace
+from lorapcsma.metrics import aloha_csv_text, write_csv, write_trace
 from lorapcsma.simulation import build_topology, run_scenario
-from lorapcsma.sweep import aloha_csv_text, aloha_validation, run_sweep
+from lorapcsma.sweep import aloha_validation, run_sweep
 from lorapcsma.topology import DeviceSpec
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -26,6 +26,9 @@ SWEEP_CSV_SHA256 = "9aa4f336b99c2fc44e6e747fafc61756b04abe1e486401374df020537ae2
 MIXED_SF_TRACE_SHA256 = "dc387ea5632a30a6e3324e387108ee4a905ac24a5e93daa948f9c39026a57c07"
 DENSE_PCSMA_TRACE_SHA256 = "6310221eb0938265e985564131a71148ff47aa6d8b7ce1a6fa1f425702d70da9"
 ALOHA_CSV_SHA256 = "68332511ef10cb9cbeebd73b0211620a1fc22527534e7e8ed0beaf5e4c04528e"
+DUTY_CYCLE_TRACE_SHA256 = "89bcfa51848adcd972fbe9030bde968f06af83647433d6bd63efb4d69baf8be8"
+RUN_STDOUT_SHA256 = "a35f2fd147a790fc752d8085676ad1efb39b5a6a47f1d10fa6c0de5c141e4954"
+RUN_CSV_SHA256 = "e4b6ff611b7f99c5110cee5ed7dc4464913c2ac6cd276d7cfe406ef8c1051ef1"
 DEVICES_SHA256 = "c6c23050d3e33e92afa66ec66a235ca71111c01b6c94e0259d2fec86f9d343e6"
 ALL_OUTCOMES_TRACE_SHA256 = {
     "pcsma": "fcaf16f9bdd8df434bf9fae343c8f226a0c61187173fd9130e65b64d382b3fe8",
@@ -140,6 +143,30 @@ def test_all_five_outcomes_trace_matches_golden_digest(mac):
             "pending": 3,
         }
     assert _sha256(write_trace, records) == ALL_OUTCOMES_TRACE_SHA256[mac]
+
+
+def test_duty_cycle_trace_matches_golden_digest():
+    # SF7 and SF12 devices every 5-7 s for two hours: the guard refuses
+    # packets, and the sliding hour moves on, at two budgets (699 and 27
+    # packets an hour).
+    cfg = RunConfig(
+        n_devices=6,
+        period_set_s=(5.0, 7.0),
+        sf_set=(7, 12),
+        duty_cycle_enforce=True,
+        sim_time_s=7200.0,
+    )
+    result = run_scenario(cfg)
+    assert result.counters.suppressed == 3039
+    assert _sha256(write_trace, result.records) == DUTY_CYCLE_TRACE_SHA256
+
+
+def test_run_command_output_matches_golden_digests(tmp_path, capsys):
+    out = tmp_path / "run.csv"
+    assert cli.main(["run", "--config", str(CONFIGS / "example_run.cfg"), "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == RUN_STDOUT_SHA256
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == RUN_CSV_SHA256
 
 
 def test_aloha_validation_csv_matches_golden_digest():

@@ -75,17 +75,21 @@ def test_large_random_schedule_executes_in_time_seq_order():
 def test_run_until_boundaries():
     sched = Scheduler()
     hits = []
-    assert sched.run_until(us_from_s(3600)) == 0
-    assert sched.now_us == us_from_s(3600)
+    sched.run_until(us_from_s(3600))
+    assert (sched.executed, sched.now_us) == (0, us_from_s(3600))
 
     sched = Scheduler()
     sched.schedule(us_from_s(100), hits.append, 1)
-    assert sched.run_until(us_from_s(3600)) == 1
+    sched.run_until(us_from_s(3600))
+    assert sched.executed == 1
 
     sched = Scheduler()
     sched.schedule(us_from_s(4000), hits.append, 2)
-    assert sched.run_until(us_from_s(3600)) == 0
-    assert sched.run_until(us_from_s(4000)) == 1  # stayed queued
+    sched.run_until(us_from_s(3600))
+    assert sched.executed == 0
+    sched.run_until(us_from_s(4000))
+    assert sched.executed == 1  # stayed queued
+    assert hits == [1, 2]
 
 
 def test_events_spawned_during_run_within_horizon_execute():

@@ -3,12 +3,15 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import devices_at, hidden_star_positions, make_sim
+from lorapcsma import phy
 from lorapcsma.config import RunConfig
 from lorapcsma.gateway import TxRecord
-from lorapcsma.kernel import RngStream
-from lorapcsma.mac import shall_it_pass
+from lorapcsma.kernel import US_PER_S, RngStream
+from lorapcsma.mac import DUTY_WINDOW_US, shall_it_pass
 
 SF8_TOA_US = 102_912
 SENSE_US = SF8_TOA_US // 2
@@ -199,3 +202,51 @@ def test_the_audit_counts_every_persistence_draw(monkeypatch):
     result = run_scenario(cfg)
     assert len(calls) > 50
     assert result.audit.persistence_draws == len(calls)
+
+
+def _sliding_hour_refuses(log, now, toa_us):
+    """The oracle: the guard's rule as a sum over a pruned log.  Refuse iff
+    the airtime of every logged start at or after ``now`` less an hour, plus
+    this packet's, exceeds 1% of the hour."""
+    log[:] = [(s, d) for s, d in log if s >= now - DUTY_WINDOW_US]
+    return sum(d for _, d in log) + toa_us > 0.01 * DUTY_WINDOW_US
+
+
+# Gaps between attempts: equal start times, the window's edges, and spans
+# that put about 20 attempts in an hour, against budgets of 0 to 40 starts.
+_GAPS = st.one_of(
+    st.sampled_from([0, 1, DUTY_WINDOW_US - 1, DUTY_WINDOW_US]),
+    st.integers(0, DUTY_WINDOW_US // 10),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    toa_us=st.one_of(
+        st.integers(900_000, 40_000_000),  # from 40 packets an hour to none
+        st.sampled_from([900_000, 1_000_000, 2_250_000, 12_000_000, 36_000_000]),  # divide 36 s
+        st.sampled_from([36_000_001, 50_000_000]),  # over 36 s: no packet fits
+    ),
+    gaps=st.lists(_GAPS, max_size=150),
+)
+@example(toa_us=36_000_001, gaps=[0, 0, DUTY_WINDOW_US])
+@example(toa_us=12_000_000, gaps=[0, 0, 0, 0, DUTY_WINDOW_US - 1, 1, 0, 1])
+def test_duty_guard_decides_like_the_sliding_hour_sum(toa_us, gaps):
+    # The airtime is forced through phy, so the MAC sizes its guard from it.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(phy, "time_on_air", lambda sf, cfg: toa_us / US_PER_S)
+        sim = make_sim(devices_at([(0.0, 0.0)]), RunConfig(n_devices=1, duty_cycle_enforce=True))
+    mac, gateway = sim.mac, sim.gateway
+    assert mac.toa_us == [toa_us]
+    log, now = [], 0
+    for gap in gaps:
+        now += gap
+        if 0 in gateway.on_air:  # end the last packet, however short the gap
+            gateway.on_tx_end(gateway.on_air[0])
+        sim.sched.now_us = now
+        refused = _sliding_hour_refuses(log, now, toa_us)
+        suppressed = mac.counters.suppressed
+        mac._start_transmission(0)
+        assert (mac.counters.suppressed == suppressed + 1) is refused
+        if not refused:
+            log.append((now, toa_us))

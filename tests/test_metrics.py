@@ -4,8 +4,16 @@ import io
 
 import pytest
 
+from lorapcsma.config import RunConfig
 from lorapcsma.gateway import Outcome, TxRecord
-from lorapcsma.metrics import Counters, compute_prr, write_csv, write_trace
+from lorapcsma.metrics import (
+    RESULT_COLUMNS,
+    Counters,
+    compute_prr,
+    result_row,
+    write_csv,
+    write_trace,
+)
 
 
 def counters(**kwargs):
@@ -31,6 +39,17 @@ def test_inconsistent_counters_are_a_hard_error():
     bad = Counters(generated=10, sent=4, received=4)  # generated mismatch
     with pytest.raises(RuntimeError):
         compute_prr(bad)
+
+
+def test_a_result_row_fills_the_result_columns_in_order():
+    # Every counter but pending_at_end is a column, in Counters' order.
+    c = Counters(
+        generated=10, sent=8, suppressed=1, received=5, collided=2, no_path=1, pending_at_end=1
+    )
+    row = result_row("s", 3, RunConfig(n_devices=2, p=0.5), c)
+    assert list(row) == RESULT_COLUMNS
+    assert list(row.values())[:8] == ["s", 3, "pcsma", 2, "{8}", "0.500000", 1, "{100,200,300,400,500}"]
+    assert list(row.values())[8:] == [10, 8, 1, 5, 2, 0, 1, 0.5, 0.625]
 
 
 def _row(scenario="s", seed=1, prr=0.5):

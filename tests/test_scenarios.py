@@ -18,9 +18,9 @@ from lorapcsma import cli, phy, sweep
 from lorapcsma.config import ConfigError, RunConfig, SweepGrid
 from lorapcsma.gateway import GatewayPhy, Outcome
 from lorapcsma.kernel import EXPONENTIAL_MAX, RngStream
-from lorapcsma.metrics import compute_prr, write_csv, write_trace
+from lorapcsma.metrics import compute_prr, result_row, write_csv, write_trace
 from lorapcsma.simulation import RunAudit, Simulation, build_topology, run_scenario
-from lorapcsma.sweep import aloha_validation, result_row, run_sweep
+from lorapcsma.sweep import aloha_validation, run_sweep
 from lorapcsma.topology import build_vicinity
 
 SRC = Path(__file__).resolve().parent.parent / "src"

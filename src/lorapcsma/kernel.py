@@ -76,28 +76,6 @@ class Scheduler:
         self.executed += executed
 
 
-# The keys of the simulator's four stream labels, precomputed: importing
-# hashlib loads OpenSSL, ~3.7 MB and a few ms of each command's set-up.
-# tests/test_kernel.py recomputes them.
-_LABEL_KEYS = {
-    "placement": 0x1480FB125459CBCA,
-    "traffic": 0x075F4AB854E2A33C,
-    "persistence": 0x0D2A4D0E13A3E16B,
-    "shadowing": 0x6DD015A84CAC1A9A,
-}
-
-
-def _label_key(label: str) -> int:
-    """The first 8 bytes of the label's SHA-256, big-endian: stable across
-    platforms and runs, unlike hash()."""
-    key = _LABEL_KEYS.get(label)
-    if key is None:
-        import hashlib
-
-        key = int.from_bytes(hashlib.sha256(label.encode()).digest()[:8], "big")
-    return key
-
-
 _MASK32 = (1 << 32) - 1
 _MASK53 = (1 << 53) - 1
 _MASK64 = (1 << 64) - 1
@@ -131,7 +109,7 @@ def _pcg64_seed(entropy: tuple[int, ...]) -> tuple[int, int]:
 
     A port of numpy's ``SeedSequence`` (pool of four 32-bit words) and of
     the PCG64 seeding step; numpy's uniform draws serve as the test oracle.
-    Memoised: a sweep seeds many streams from few (seed, label) pairs.
+    Memoised: a sweep seeds many streams from few (seed, key) pairs.
     """
     words = []  # each entry as little-endian 32-bit words; 0 is one word
     for value in entropy:
@@ -169,12 +147,12 @@ EXPONENTIAL_MAX = ZIGGURAT_EXP_R - math.log1p(-(1 - 2**-53))
 
 
 class RngStream:
-    """One named, independently seeded random stream.
+    """One independently seeded random stream, picked by an integer key.
 
     The generator is PCG64 (XSL-RR output) seeded by ``SeedSequence([seed,
-    key(label)])``, exactly as numpy builds it, so (seed, label, draw
-    index) -> value holds across platforms.  Distinct labels under the same
-    seed give distinct sequences.
+    key])``, exactly as numpy builds it, so (seed, key, draw index) -> value
+    holds across platforms.  Distinct keys under the same seed give
+    distinct sequences.
 
     Uniform and exponential draws come from a pure-Python port of that
     generator, so a run that draws no normal values never imports numpy.
@@ -188,9 +166,9 @@ class RngStream:
     at the first such draw.  A stream serves one distribution only.
     """
 
-    def __init__(self, seed: int, label: str) -> None:
-        self.label = label
-        self._entropy = (seed, _label_key(label))
+    def __init__(self, seed: int, key: int) -> None:
+        self.key = key
+        self._entropy = (seed, key)
         self._state, self._inc = _pcg64_seed(self._entropy)
         self._gen = None  # numpy's Generator, built at the first normal draw
         self._kind: str | None = None
@@ -201,7 +179,7 @@ class RngStream:
             self._kind = kind
         elif self._kind != kind:
             raise RuntimeError(
-                f"stream {self.label!r} draws {self._kind} values, not {kind} values"
+                f"stream {self.key:#x} draws {self._kind} values, not {kind} values"
             )
 
     def uniform(self) -> float:

@@ -11,12 +11,14 @@ from .kernel import RngStream, Scheduler, us_from_s
 from .mac import PcsmaMac
 from .metrics import Counters
 
-# One named stream per concern so changing one consumer leaves the others'
-# draw sequences untouched.
-STREAM_PLACEMENT = "placement"
-STREAM_TRAFFIC = "traffic"
-STREAM_PERSISTENCE = "persistence"
-STREAM_SHADOWING = "shadowing"
+# One stream per concern so changing one consumer leaves the others' draw
+# sequences untouched.  Each key is the first 8 bytes of its name's SHA-256,
+# big-endian, precomputed because importing the SHA-256 module loads OpenSSL
+# (~3.7 MB).
+STREAM_PLACEMENT = 0x1480FB125459CBCA
+STREAM_TRAFFIC = 0x075F4AB854E2A33C
+STREAM_PERSISTENCE = 0x0D2A4D0E13A3E16B
+STREAM_SHADOWING = 0x6DD015A84CAC1A9A
 
 
 @dataclass

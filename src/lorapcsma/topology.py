@@ -21,10 +21,6 @@ class ConfigError(ValueError):
     the key or the file line."""
 
 
-class GeometryError(ConfigError):
-    """Requested cluster geometry breaks a radius, hiding or coverage bound."""
-
-
 @dataclass
 class DeviceSpec:
     """One stationary end-device; positions are fixed for the whole run.
@@ -96,7 +92,7 @@ def validate_geometry(cfg: RunConfig) -> None:
     # The farthest a member may sit from the gateway, at the origin.
     max_gw_dist = cfg.cluster_radius_m + (cfg.ring_radius_m if cfg.n_areas > 1 else 0.0)
     if min(cfg.cluster_radius_m, cfg.ring_radius_m) < 0 or max_gw_dist > MAX_COORD_M:
-        raise GeometryError(
+        raise ConfigError(
             "cluster and ring radii must be non-negative and keep every member within "
             f"{MAX_COORD_M:g} m of the gateway"
         )
@@ -106,7 +102,7 @@ def validate_geometry(cfg: RunConfig) -> None:
             2.0 * cfg.ring_radius_m * math.sin(math.pi / cfg.n_areas) - 2.0 * cfg.cluster_radius_m
         )
         if min_separation <= max_device_range:
-            raise GeometryError(
+            raise ConfigError(
                 f"minimum inter-cluster member distance {min_separation:.4g} m does not "
                 f"exceed the maximum end-device detect range {max_device_range:.4g} m; "
                 "increase ring_radius_m or decrease cluster_radius_m"
@@ -115,7 +111,7 @@ def validate_geometry(cfg: RunConfig) -> None:
     gateway = cfg.gateway_sensitivity_dbm
     threshold_dbm, sf = max((gateway[sf - phy.SF_MIN], sf) for sf in cfg.sf_set)
     if prx_dbm < threshold_dbm:
-        raise GeometryError(
+        raise ConfigError(
             f"cluster members may sit up to {max_gw_dist:.4g} m from the gateway and arrive at "
             f"{prx_dbm:.4g} dBm, below the SF{sf} gateway sensitivity {threshold_dbm:.4g} dBm; "
             "shrink ring_radius_m or cluster_radius_m, or raise tx_power_dbm"
@@ -168,8 +164,15 @@ def build_vicinity(devices: list[DeviceSpec], cfg: RunConfig) -> numpy.ndarray:
     x, y, z = np.array([[d.x, d.y, d.z] for d in devices]).T
     tx = cfg.tx_power_dbm
     ranges = np.array([phy.detect_range_m(d.sf, tx - d.shadow_db, cfg) for d in devices])
-    dx, dy, dz = (np.subtract.outer(c, c) for c in (x, y, z))
-    matrix = np.sqrt((dx * dx + dy * dy) + dz * dz) <= ranges
+    # One N x N distance buffer and one scratch, summed in sense()'s order above.
+    dist = np.subtract.outer(x, x)
+    dist *= dist
+    scratch = np.empty_like(dist)
+    for c in (y, z):
+        np.subtract.outer(c, c, out=scratch)
+        dist += np.multiply(scratch, scratch, out=scratch)
+    del scratch  # freed before the boolean result is allocated
+    matrix = np.sqrt(dist, out=dist) <= ranges
     np.fill_diagonal(matrix, False)
     return matrix
 

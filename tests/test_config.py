@@ -71,6 +71,7 @@ def test_duplicate_key_rejected():
         ("n_devices = 10\nperiod_set_s = {0}\n", "period"),
         ("n_devices = 10\nmac = csma\n", "mac"),
         ("n_devices = 10\nseed = abc\n", "integer"),
+        ("n_devices = 10\nsim_time_s = abc\n", "line 2: sim_time_s: 'abc' is not a number"),
         ("n_devices = 10\nsim_time_s = -1\n", "sim_time_s"),
         ("n_devices = 10\ntraffic = poisson\nsf_set = {8,9}\n", "single-SF"),
         ("n_devices = 10\ntraffic = poisson\noffered_load = 0\n", "offered_load"),
@@ -102,6 +103,8 @@ def test_duplicate_key_rejected():
         ({"n_devices": 2, "p": [0.5, 0.5]}, r"p must be of type float \| tuple.*got \[0.5, 0.5\]"),
         ({"n_devices": 2, "period_set_s": [10.0]}, "period_set_s must be of type tuple"),
         ({"n_devices": 2, "sf_set": (8.0,)}, "sf_set must be of type tuple"),
+        ({"n_devices": 1, "mac": "csma"}, "mac must be one of"),
+        ({"n_devices": 1, "sf_set": ()}, "sf_set must be non-empty"),
         # Finite numbers that overflow later, in microseconds or in a detect
         # range, are named too.
         ("n_devices = 1\nsim_time_s = 1e303\n", "sim_time_s"),
@@ -205,6 +208,7 @@ def test_grid_rejects_unknown_key():
             for key in ("device_counts", "p_values", "sf_sets", "n_areas_values", "seeds")
         ],
         ("seeds = {1, -2}\n", "seeds must be >= 0"),
+        ("seeds = {5..3}\n", "line 1: seeds: empty range '5..3'"),
         # A repeated value would run one cell or seed twice and count it twice.
         ("seeds = {1, 1}\n", "seeds must not contain duplicates"),
         ("p_values = {0.5, 0.5}\n", "p_values must not contain duplicates"),

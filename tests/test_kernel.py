@@ -10,14 +10,12 @@ import pytest
 
 from lorapcsma import ziggurat
 from lorapcsma.kernel import (
-    _LABEL_KEYS,
     _PCG64_MULT,
     EXPONENTIAL_MAX,
     RNG_BLOCK,
     ZIGGURAT_EXP_R,
     RngStream,
     Scheduler,
-    _label_key,
     us_from_s,
 )
 from lorapcsma.simulation import (
@@ -26,6 +24,18 @@ from lorapcsma.simulation import (
     STREAM_SHADOWING,
     STREAM_TRAFFIC,
 )
+
+STREAMS = {
+    "placement": STREAM_PLACEMENT,
+    "traffic": STREAM_TRAFFIC,
+    "persistence": STREAM_PERSISTENCE,
+    "shadowing": STREAM_SHADOWING,
+}
+
+
+def _key(name):
+    # The stream-key rule: the first 8 bytes of the name's SHA-256, big-endian.
+    return int.from_bytes(hashlib.sha256(name.encode()).digest()[:8], "big")
 
 
 def test_fifo_tie_break():
@@ -101,49 +111,48 @@ def test_events_spawned_during_run_within_horizon_execute():
 
 
 def test_rng_streams_are_reproducible():
-    a = RngStream(123, "traffic")
-    b = RngStream(123, "traffic")
+    a = RngStream(123, STREAM_TRAFFIC)
+    b = RngStream(123, STREAM_TRAFFIC)
     assert [a.uniform() for _ in range(10)] == [b.uniform() for _ in range(10)]
 
 
 def test_rng_uniform_mean():
-    stream = RngStream(7, "traffic")
+    stream = RngStream(7, STREAM_TRAFFIC)
     draws = [stream.uniform() for _ in range(100_000)]
     assert abs(sum(draws) / len(draws) - 0.5) < 0.01
     assert all(0.0 <= u < 1.0 for u in draws)
 
 
 def test_distinct_stream_ids_give_distinct_sequences():
-    traffic, persistence = RngStream(7, "traffic"), RngStream(7, "persistence")
+    traffic, persistence = RngStream(7, STREAM_TRAFFIC), RngStream(7, STREAM_PERSISTENCE)
     a = [traffic.uniform() for _ in range(1000)]
     b = [persistence.uniform() for _ in range(1000)]
     assert a != b
 
 
-@pytest.mark.parametrize("label", [*_LABEL_KEYS, "any other label", ""])
-def test_label_keys_are_the_first_8_bytes_of_sha256(label):
-    # The four stream labels have precomputed keys, so that a run never
-    # imports hashlib; every other label is hashed when asked.
-    assert _label_key(label) == int.from_bytes(hashlib.sha256(label.encode()).digest()[:8], "big")
+@pytest.mark.parametrize("name", STREAMS)
+def test_stream_keys_are_the_first_8_bytes_of_sha256(name):
+    # Precomputed in lorapcsma.simulation, so that a run never imports hashlib.
+    assert STREAMS[name] == _key(name)
 
 
-def test_the_precomputed_keys_are_the_simulations_stream_labels():
-    labels = {STREAM_PLACEMENT, STREAM_TRAFFIC, STREAM_PERSISTENCE, STREAM_SHADOWING}
-    assert set(_LABEL_KEYS) == labels
+def test_a_negative_seed_is_refused():
+    with pytest.raises(ValueError, match="seed entropy must be >= 0, got -1"):
+        RngStream(-1, STREAM_PLACEMENT)
 
 
-def _numpy_generator(seed, label):
+def _numpy_generator(seed, key):
     # The oracle: numpy's generator under the stream's documented seeding.
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, _label_key(label)])))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, key])))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64, 2**100 + 12345])
-@pytest.mark.parametrize("label", ["placement", "traffic", "persistence", "shadowing"])
-def test_uniform_draws_equal_numpy_pcg64(seed, label):
+@pytest.mark.parametrize("key", STREAMS.values(), ids=STREAMS)
+def test_uniform_draws_equal_numpy_pcg64(seed, key):
     # The seeds cover one, two, three and four 32-bit entropy words, and the
-    # labels are the simulation's four streams.
-    stream = RngStream(seed, label)
-    expected = _numpy_generator(seed, label).random(640).tolist()
+    # keys are the simulation's four streams.
+    stream = RngStream(seed, key)
+    expected = _numpy_generator(seed, key).random(640).tolist()
     assert [stream.uniform() for _ in range(640)] == expected
 
 
@@ -151,21 +160,21 @@ def test_block_draws_equal_scalar_draws():
     # Exponential values are drawn RNG_BLOCK at a time and served one by
     # one; each must be the value numpy's scalar draw returns at that index.
     n = 3 * RNG_BLOCK + 5  # crosses several refills
-    stream, gen = RngStream(11, "u"), _numpy_generator(11, "u")
+    stream, gen = RngStream(11, _key("u")), _numpy_generator(11, _key("u"))
     assert [stream.uniform() for _ in range(n)] == [float(gen.random()) for _ in range(n)]
     means = [0.5 + k % 7 for k in range(n)]  # the mean may change per draw
-    stream, gen = RngStream(11, "e"), _numpy_generator(11, "e")
+    stream, gen = RngStream(11, _key("e")), _numpy_generator(11, _key("e"))
     assert [stream.exponential(m) for m in means] == [float(gen.exponential(m)) for m in means]
-    stream, gen = RngStream(11, "n"), _numpy_generator(11, "n")
+    stream, gen = RngStream(11, _key("n")), _numpy_generator(11, _key("n"))
     assert [stream.normal(2.0) for _ in range(10)] == [float(gen.normal(0.0, 2.0)) for _ in range(10)]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32, 2**64, 2**100 + 12345])
-@pytest.mark.parametrize("label", ["placement", "traffic", "persistence", "shadowing"])
-def test_exponential_draws_equal_numpy(seed, label):
+@pytest.mark.parametrize("key", STREAMS.values(), ids=STREAMS)
+def test_exponential_draws_equal_numpy(seed, key):
     means = [0.25 + k % 13 for k in range(25_000)]
-    stream = RngStream(seed, label)
-    expected = _numpy_generator(seed, label).exponential(means).tolist()
+    stream = RngStream(seed, key)
+    expected = _numpy_generator(seed, key).exponential(means).tolist()
     assert [stream.exponential(m) for m in means] == expected
 
 
@@ -283,7 +292,7 @@ def _stream_and_numpy_serving(w1: int, w2: int):
     s2 = h << 64 | (w2 ^ h)
     inc = (s2 - s1 * _PCG64_MULT) % 2**128
     state = (s1 - inc) * _INVERSE_MULT % 2**128
-    stream = RngStream(0, "scripted")
+    stream = RngStream(0, _key("scripted"))
     stream._state, stream._inc = state, inc
     bit_generator = np.random.PCG64()
     bit_generator.state = {
@@ -364,7 +373,7 @@ def test_a_stream_serves_one_distribution(first, second):
         "exponential": lambda s: s.exponential(1.0),
         "normal": lambda s: s.normal(1.0),
     }
-    stream = RngStream(3, "mixed")
+    stream = RngStream(3, _key("mixed"))
     draw[first](stream)
-    with pytest.raises(RuntimeError, match="mixed"):
+    with pytest.raises(RuntimeError, match=f"stream {_key('mixed'):#x} draws"):
         draw[second](stream)

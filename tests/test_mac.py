@@ -12,6 +12,7 @@ from lorapcsma.config import RunConfig
 from lorapcsma.gateway import TxRecord
 from lorapcsma.kernel import US_PER_S, RngStream
 from lorapcsma.mac import DUTY_WINDOW_US, shall_it_pass
+from lorapcsma.simulation import STREAM_PERSISTENCE
 
 SF8_TOA_US = 102_912
 SENSE_US = SF8_TOA_US // 2
@@ -77,12 +78,12 @@ def test_persistence_table():
 
 
 def test_shall_it_pass_p1_always_true():
-    rng = RngStream(3, "persistence")
+    rng = RngStream(3, STREAM_PERSISTENCE)
     assert all(shall_it_pass(1.0, rng) for _ in range(1000))
 
 
 def test_shall_it_pass_rate_matches_p():
-    rng = RngStream(3, "persistence")
+    rng = RngStream(3, STREAM_PERSISTENCE)
     passes = sum(shall_it_pass(0.25, rng) for _ in range(100_000))
     assert abs(passes / 100_000 - 0.25) < 0.01
 

@@ -50,6 +50,10 @@ def test_a_result_row_fills_the_result_columns_in_order():
     assert list(row) == RESULT_COLUMNS
     assert list(row.values())[:8] == ["s", 3, "pcsma", 2, "{8}", "0.500000", 1, "{100,200,300,400,500}"]
     assert list(row.values())[8:] == [10, 8, 1, 5, 2, 0, 1, 0.5, 0.625]
+    # A per-device p reaches the CSV as one braced field.
+    buf = io.StringIO()
+    write_csv([result_row("s", 3, RunConfig(n_devices=3, p=(0.25, 0.5, 1.0)), c)], buf)
+    assert buf.getvalue().splitlines()[1].split(",")[5] == "{0.250000|0.500000|1.000000}"
 
 
 def _row(scenario="s", seed=1, prr=0.5):

@@ -716,20 +716,27 @@ def test_poisson_runs_and_aloha_sweeps_need_no_numpy(tmp_path):
 def test_a_command_imports_only_what_it_runs(tmp_path):
     # hashlib loads OpenSSL (~3.7 MB), and only a multi-run sweep uses
     # statistics and pickle.  -S leaves out site hooks, whose imports are
-    # not the command's.
+    # not the command's.  One CPU, so that a sweep runs every point in the
+    # process checked rather than in forked workers.
     check = (
-        "import sys; from lorapcsma import cli; assert cli.main(sys.argv[1:]) == 0; "
-        "loaded = {'hashlib', '_hashlib', 'statistics', 'pickle'} & set(sys.modules); "
+        "import sys; from lorapcsma import cli, sweep; sweep._cpu_count = lambda: 1; "
+        "assert cli.main(sys.argv[2:]) == 0; "
+        "loaded = set(sys.argv[1].split(',')) & set(sys.modules); "
         "assert not loaded, loaded"
     )
     config = tmp_path / "scenario.cfg"
     config.write_text("n_devices = 6\nsim_time_s = 600\np = 0.5\n")
-    for argv in (
-        ["run", "--config", str(config)],
-        ["validate-aloha", "--g", "0.5", "--packet-times", "2000"],
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("seeds = {1, 2}\n")
+    single_run = "hashlib,_hashlib,statistics,pickle"
+    for unused, *argv in (
+        (single_run, "run", "--config", str(config)),
+        (single_run, "validate-aloha", "--g", "0.5", "--packet-times", "2000"),
+        ("hashlib,_hashlib", "sweep", "--config", str(config), "--grid", str(grid),
+         "--out", str(tmp_path / "sweep.csv")),
     ):
         proc = subprocess.run(
-            [sys.executable, "-S", "-c", check, *argv],
+            [sys.executable, "-S", "-c", check, unused, *argv],
             env={**os.environ, "PYTHONPATH": str(SRC)},
             capture_output=True,
             text=True,
@@ -749,10 +756,18 @@ def test_cli_validate_aloha(tmp_path, capsys):
     assert "0.100000" in text
 
 
-def test_cli_validate_aloha_out_of_range_sf_is_a_config_error(capsys):
-    assert cli.main(["validate-aloha", "--g", "0.5", "--sf", "13"]) == 2
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--g", "0.5", "--sf", "13"], "--sf must be in 7..12, got 13"),
+        (["--g", "abc"], "--g expects comma-separated numbers, got 'abc'"),
+        (["--g", ","], "--g needs at least one offered-load value"),
+    ],
+)
+def test_cli_validate_aloha_bad_argument_is_a_config_error(capsys, args, message):
+    assert cli.main(["validate-aloha", *args]) == 2
     err = capsys.readouterr().err
-    assert "--sf" in err and "13" in err and "Traceback" not in err
+    assert message in err and "Traceback" not in err
 
 
 def test_cli_negative_seed_is_a_config_error_before_any_run(tmp_path, monkeypatch, capsys):

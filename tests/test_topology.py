@@ -1,6 +1,7 @@
 """Placement, round-robin attributes, and vicinity-matrix behaviour."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from conftest import device_areas
 from lorapcsma import phy
 from lorapcsma.config import ConfigError, RunConfig
 from lorapcsma.kernel import RngStream
+from lorapcsma.simulation import STREAM_PLACEMENT
 from lorapcsma.topology import (
     DeviceSpec,
-    GeometryError,
     build_vicinity,
     cluster_sizes,
     load_device_file,
@@ -35,7 +36,7 @@ def test_cluster_sizes():
 
 def test_place_clusters_respects_geometry():
     cfg = RunConfig(n_devices=30, n_areas=3, cluster_radius_m=100.0)
-    rng = RngStream(11, "placement")
+    rng = RngStream(11, STREAM_PLACEMENT)
     devices = place_clusters(cfg, rng)
     assert len(devices) == 30
     for k in range(3):
@@ -67,7 +68,7 @@ def test_mixed_sf_vicinity_can_be_asymmetric():
 
 
 def test_vicinity_is_a_pure_function_of_inputs():
-    rng = RngStream(5, "placement")
+    rng = RngStream(5, STREAM_PLACEMENT)
     cfg = RunConfig(n_devices=12, n_areas=2, sf_set=(8, 9), period_set_s=(100.0, 200.0), p=0.5)
     devices = place_clusters(cfg, rng)
     first = build_vicinity(devices, CFG)
@@ -102,6 +103,21 @@ def test_vicinity_matches_the_full_distance_matrix(monkeypatch):
         assert np.array_equal(build_vicinity(devices, CFG), expected)
 
 
+def test_vicinity_keeps_one_distance_buffer_and_one_scratch():
+    # Each N x N float temporary costs 8 MB at N = 1000; the squared
+    # differences and their sums as separate arrays would need five.
+    n = 1000
+    cfg = RunConfig(n_devices=n, n_areas=3, sf_set=(8, 9, 10))
+    devices = place_clusters(cfg, RngStream(1, STREAM_PLACEMENT))
+    tracemalloc.start()
+    try:
+        build_vicinity(devices, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n * n * 8
+
+
 @pytest.mark.parametrize("sf", [6, 13])
 def test_vicinity_refuses_a_spreading_factor_without_a_sensitivity(sf):
     # SF6 would otherwise read the row's last entry, SF12's, by a negative index.
@@ -110,7 +126,7 @@ def test_vicinity_refuses_a_spreading_factor_without_a_sensitivity(sf):
 
 
 def test_single_cluster_uniform_sf_matrix_symmetric():
-    rng = RngStream(6, "placement")
+    rng = RngStream(6, STREAM_PLACEMENT)
     devices = place_clusters(RunConfig(n_devices=15), rng)
     matrix = build_vicinity(devices, CFG)
     assert np.array_equal(matrix, matrix.T)
@@ -119,7 +135,7 @@ def test_single_cluster_uniform_sf_matrix_symmetric():
 
 def test_hidden_areas_make_block_diagonal_matrix():
     cfg = RunConfig(n_devices=10, n_areas=2)  # building it checks the geometry
-    rng = RngStream(9, "placement")
+    rng = RngStream(9, STREAM_PLACEMENT)
     devices = place_clusters(cfg, rng)
     matrix = build_vicinity(devices, CFG)
     areas = device_areas(10, 2)
@@ -130,7 +146,7 @@ def test_hidden_areas_make_block_diagonal_matrix():
 
 
 def test_place_clusters_deals_attributes_round_robin():
-    rng = RngStream(1, "placement")
+    rng = RngStream(1, STREAM_PLACEMENT)
     devices = place_clusters(RunConfig(n_devices=10, p=0.25), rng)  # five default periods
     assert [d.period_s for d in devices] == [100.0, 200.0, 300.0, 400.0, 500.0] * 2
     assert all(d.persistence == 0.25 for d in devices)
@@ -144,15 +160,15 @@ def test_place_clusters_deals_attributes_round_robin():
 
 
 def test_geometry_error_names_the_violated_bound():
-    with pytest.raises(GeometryError, match="detect range"):
+    with pytest.raises(ConfigError, match="detect range"):
         RunConfig(n_devices=2, n_areas=2, cluster_radius_m=100.0, ring_radius_m=1000.0)
-    with pytest.raises(GeometryError, match="gateway"):
+    with pytest.raises(ConfigError, match="gateway"):
         RunConfig(n_devices=2, n_areas=2, cluster_radius_m=100.0, ring_radius_m=6000.0)
 
 
 @pytest.mark.parametrize("keywords", [{"cluster_radius_m": 1e100}, {"tx_power_dbm": -1e299}])
 def test_geometry_error_stays_short_for_huge_values(keywords):
-    with pytest.raises(GeometryError) as info:
+    with pytest.raises(ConfigError) as info:
         RunConfig(n_devices=1, **keywords)
     message = str(info.value)
     assert len(message) < 200 and "ring_radius_m or cluster_radius_m" in message
@@ -170,7 +186,7 @@ def test_geometry_error_stays_short_for_huge_values(keywords):
     ],
 )
 def test_radii_must_be_non_negative_and_keep_members_in_float_range(tmp_path, radii):
-    with pytest.raises(GeometryError, match="cluster and ring radii must be non-negative"):
+    with pytest.raises(ConfigError, match="cluster and ring radii must be non-negative"):
         RunConfig(n_devices=2, **radii)
     # A device file fixes the placement, so the radii are not read.
     path = tmp_path / "devices.txt"
@@ -213,6 +229,8 @@ def test_device_file_round_trip(tmp_path):
         ("0 0 -1e200 0 8 100 1.0", "devices.txt:1: y must be at most"),
         ("0 0 0 1e200 8 100 1.0", "devices.txt:1: z must be at most"),
         ("0 0 0 0 8 1e303 1.0", "devices.txt:1: period must be finite and >= 1 us"),
+        ("0 a 0 0 8 100 1.0", "devices.txt:1: could not convert"),
+        ("0 0 0 0 8 100 1.0\n0 1 0 0 8 100 1.0", "devices.txt:2: duplicate device id 0"),
     ],
 )
 def test_device_file_rejects_bad_rows(tmp_path, line, match):

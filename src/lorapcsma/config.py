@@ -13,7 +13,18 @@ from pathlib import Path
 
 from . import phy
 from .kernel import EXPONENTIAL_MAX, US_PER_S, lasts_1us
-from .topology import MAX_LEVEL_DB, ConfigError, validate_geometry
+
+
+class ConfigError(ValueError):
+    """Invalid or malformed configuration or device file; the message names
+    the key or the file line."""
+
+
+# The largest magnitude of a coordinate, which keeps every squared distance
+# of a run finite, and of a power level in dBm or dB, which keeps the
+# effective and received powers finite.
+MAX_COORD_M = 1e150
+MAX_LEVEL_DB = 1e300
 
 # The allowed values of every enumerated key, for the parser and validate().
 _CHOICES = {
@@ -205,10 +216,39 @@ class RunConfig:
             if len(self.sf_set) != 1:
                 raise ConfigError("poisson traffic needs a single-SF sf_set (one packet-time)")
             self.poisson_mean_gap_s()
-        # A device file fixes the placement; generated clusters must fit the
-        # float range and be mutually hidden yet gateway-covered.
-        if self.device_file is None:
-            validate_geometry(self)
+        if self.device_file == "":
+            raise ConfigError("device_file must name a file, got ''")
+        if self.device_file is not None:
+            return  # the file fixes the placement
+        # Generated clusters must fit the float range, and be mutually hidden
+        # (by the largest end-device detect range across the assigned SFs)
+        # yet gateway-covered: the gateway's own test passes for the farthest
+        # possible member at the least sensitive assigned SF, so any
+        # round-robin SF assignment is covered.
+        cluster, ring, tx = self.cluster_radius_m, self.ring_radius_m, self.tx_power_dbm
+        max_gw_dist = cluster + (ring if self.n_areas > 1 else 0.0)  # the gateway is at the origin
+        if min(cluster, ring) < 0 or max_gw_dist > MAX_COORD_M:
+            raise ConfigError(
+                "cluster and ring radii must be non-negative and keep every member within "
+                f"{MAX_COORD_M:g} m of the gateway"
+            )
+        if self.n_areas > 1:
+            max_device_range = max(phy.detect_range_m(sf, tx, self) for sf in self.sf_set)
+            min_separation = 2.0 * ring * math.sin(math.pi / self.n_areas) - 2.0 * cluster
+            if min_separation <= max_device_range:
+                raise ConfigError(
+                    f"minimum inter-cluster member distance {min_separation:.4g} m does not "
+                    f"exceed the maximum end-device detect range {max_device_range:.4g} m; "
+                    "increase ring_radius_m or decrease cluster_radius_m"
+                )
+        prx_dbm = phy.received_power_dbm(tx, max_gw_dist, self)
+        threshold_dbm, sf = max((gateway[sf - phy.SF_MIN], sf) for sf in self.sf_set)
+        if prx_dbm < threshold_dbm:
+            raise ConfigError(
+                f"cluster members may sit up to {max_gw_dist:.4g} m from the gateway and arrive at "
+                f"{prx_dbm:.4g} dBm, below the SF{sf} gateway sensitivity {threshold_dbm:.4g} dBm; "
+                "shrink ring_radius_m or cluster_radius_m, or raise tx_power_dbm"
+            )
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import topology
-from .config import ConfigError, RunConfig
+from .config import RunConfig
 from .gateway import GatewayPhy, TxRecord
 from .kernel import RngStream, Scheduler, us_from_s
 from .mac import PcsmaMac
@@ -52,10 +52,6 @@ def build_topology(cfg: RunConfig) -> list[topology.DeviceSpec]:
     """
     if cfg.device_file is not None:
         devices = topology.load_device_file(cfg.device_file, cfg)
-        if cfg.n_devices != len(devices):
-            raise ConfigError(
-                f"n_devices={cfg.n_devices} but {cfg.device_file!r} defines {len(devices)} devices"
-            )
     else:
         devices = topology.place_clusters(cfg, RngStream(cfg.seed, STREAM_PLACEMENT))
     if cfg.shadowing_sigma_db > 0:

@@ -35,8 +35,8 @@ _NOT_P = tuple(f.name for f in fields(RunConfig) if f.name != "p")
 
 def _group_key(point: RunConfig) -> tuple | None:
     """What ``point``'s run depends on besides its p, or None if p is per
-    device or a device file lists the devices (and their persistence)."""
-    if point.device_file is not None or isinstance(point.p, tuple):
+    device."""
+    if isinstance(point.p, tuple):
         return None
     return tuple(getattr(point, name) for name in _NOT_P)
 
@@ -148,8 +148,10 @@ def _run_all(points: list[RunConfig]) -> list[Counters]:
                 reply = pipe.read()
             _, status = os.waitpid(pid, 0)
             del workers[0]
-            if not reply:
-                code = os.waitstatus_to_exitcode(status)
+            # A finished worker exits 0, so any other exit (say a kill in
+            # mid-write, which leaves a partial pickle) is a death.
+            code = os.waitstatus_to_exitcode(status)
+            if code or not reply:
                 raise RuntimeError(f"sweep worker {pid} died without a result (exit code {code})")
             import pickle
 

@@ -8,17 +8,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import phy
+from .config import MAX_COORD_M, MAX_LEVEL_DB, ConfigError, RunConfig
 from .kernel import US_PER_S, RngStream, lasts_1us
 
 if TYPE_CHECKING:
     import numpy
-
-    from .config import RunConfig
-
-
-class ConfigError(ValueError):
-    """Invalid or malformed configuration or device file; the message names
-    the key or the file line."""
 
 
 @dataclass
@@ -42,11 +36,6 @@ class DeviceSpec:
 
 # Device fields that enter the received powers and detect ranges of a run.
 FINITE_FIELDS = ("x", "y", "z", "shadow_db")
-# The largest magnitude of a coordinate, which keeps every squared distance
-# of a run finite, and of a power level in dBm or dB, which keeps the
-# effective and received powers finite.
-MAX_COORD_M = 1e150
-MAX_LEVEL_DB = 1e300
 
 
 def device_problem(d: DeviceSpec, cfg: RunConfig) -> tuple[str, str] | None:
@@ -78,44 +67,6 @@ def cluster_sizes(n_devices: int, n_areas: int) -> list[int]:
     """Even split; remainder devices go to the lowest-indexed clusters."""
     base, extra = divmod(n_devices, n_areas)
     return [base + (1 if k < extra else 0) for k in range(n_areas)]
-
-
-def validate_geometry(cfg: RunConfig) -> None:
-    """Check that generated clusters fit the float range, and are mutually
-    hidden yet gateway-covered.
-
-    Mutual hiding uses the largest end-device detect range across the
-    assigned SFs.  Coverage applies the gateway's own test to the farthest
-    possible member at the least sensitive assigned SF, so any round-robin
-    SF assignment is covered.
-    """
-    # The farthest a member may sit from the gateway, at the origin.
-    max_gw_dist = cfg.cluster_radius_m + (cfg.ring_radius_m if cfg.n_areas > 1 else 0.0)
-    if min(cfg.cluster_radius_m, cfg.ring_radius_m) < 0 or max_gw_dist > MAX_COORD_M:
-        raise ConfigError(
-            "cluster and ring radii must be non-negative and keep every member within "
-            f"{MAX_COORD_M:g} m of the gateway"
-        )
-    max_device_range = max(phy.detect_range_m(sf, cfg.tx_power_dbm, cfg) for sf in cfg.sf_set)
-    if cfg.n_areas > 1:
-        min_separation = (
-            2.0 * cfg.ring_radius_m * math.sin(math.pi / cfg.n_areas) - 2.0 * cfg.cluster_radius_m
-        )
-        if min_separation <= max_device_range:
-            raise ConfigError(
-                f"minimum inter-cluster member distance {min_separation:.4g} m does not "
-                f"exceed the maximum end-device detect range {max_device_range:.4g} m; "
-                "increase ring_radius_m or decrease cluster_radius_m"
-            )
-    prx_dbm = phy.received_power_dbm(cfg.tx_power_dbm, max_gw_dist, cfg)
-    gateway = cfg.gateway_sensitivity_dbm
-    threshold_dbm, sf = max((gateway[sf - phy.SF_MIN], sf) for sf in cfg.sf_set)
-    if prx_dbm < threshold_dbm:
-        raise ConfigError(
-            f"cluster members may sit up to {max_gw_dist:.4g} m from the gateway and arrive at "
-            f"{prx_dbm:.4g} dBm, below the SF{sf} gateway sensitivity {threshold_dbm:.4g} dBm; "
-            "shrink ring_radius_m or cluster_radius_m, or raise tx_power_dbm"
-        )
 
 
 def place_clusters(cfg: RunConfig, rng: RngStream) -> list[DeviceSpec]:
@@ -181,9 +132,9 @@ def load_device_file(path: str | Path, cfg: RunConfig) -> list[DeviceSpec]:
     """Explicit device list: one device per line ``id x y z sf period_s p``.
 
     Fields may be separated by whitespace or commas; ``#`` starts a comment.
-    Ids must be the consecutive indices 0..N-1 (any input order).  Devices send
-    at ``cfg.tx_power_dbm``, and each row meets ``device_problem`` under
-    ``cfg``.
+    Ids must be the consecutive indices 0..N-1 (any input order), with N
+    ``cfg.n_devices``.  Devices send at ``cfg.tx_power_dbm``, and each row
+    meets ``device_problem`` under ``cfg``.
     """
     rows = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -209,4 +160,6 @@ def load_device_file(path: str | Path, cfg: RunConfig) -> list[DeviceSpec]:
             raise ConfigError(f"{path}:{lineno}: {' '.join(problem)}")
     if sorted(rows) != list(range(len(rows))):
         raise ConfigError(f"{path}: device ids must be consecutive from 0")
+    if cfg.n_devices != len(rows):
+        raise ConfigError(f"n_devices={cfg.n_devices} but {str(path)!r} defines {len(rows)} devices")
     return [rows[i] for i in range(len(rows))]

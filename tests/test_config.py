@@ -1,5 +1,6 @@
 """Scenario/grid document parsing and validation."""
 
+import ast
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -10,6 +11,7 @@ from lorapcsma import phy
 from lorapcsma.config import ConfigError, RunConfig, parse_config, parse_grid
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lorapcsma"
 
 
 def test_minimal_document_gets_defaults():
@@ -105,6 +107,8 @@ def test_duplicate_key_rejected():
         ({"n_devices": 2, "sf_set": (8.0,)}, "sf_set must be of type tuple"),
         ({"n_devices": 1, "mac": "csma"}, "mac must be one of"),
         ({"n_devices": 1, "sf_set": ()}, "sf_set must be non-empty"),
+        # An empty path would be read only at run time, as a directory.
+        ("n_devices = 1\ndevice_file =\n", "device_file must name a file, got ''"),
         # Finite numbers that overflow later, in microseconds or in a detect
         # range, are named too.
         ("n_devices = 1\nsim_time_s = 1e303\n", "sim_time_s"),
@@ -232,3 +236,30 @@ def test_readme_key_table_lists_every_run_config_field_in_order():
     first_cells = re.findall(r"^\| (`[^|]*`) \|", section, re.MULTILINE)
     keys = [key for cell in first_cells for key in re.findall(r"`(\w+)`", cell)]
     assert keys == [f.name for f in fields(RunConfig)]
+
+
+def test_config_holds_every_config_rule_and_imports_no_placement():
+    # Read from the source: importing lorapcsma.config loads the package,
+    # and with it topology, so sys.modules cannot show this.
+    tree = ast.parse((PACKAGE / "config.py").read_text())
+    imported = [
+        name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
+    ]
+    assert not [name for name in imported if "topology" in name]
+    shared = {"ConfigError", "MAX_COORD_M", "MAX_LEVEL_DB"}
+    homes = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in shared.intersection(names):
+                homes.setdefault(name, []).append(path.name)
+    assert homes == {name: ["config.py"] for name in shared}

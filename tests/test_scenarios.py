@@ -2,6 +2,7 @@
 
 import io
 import os
+import re
 import signal
 import struct
 import subprocess
@@ -21,7 +22,7 @@ from lorapcsma.kernel import EXPONENTIAL_MAX, RngStream
 from lorapcsma.metrics import compute_prr, result_row, write_csv, write_trace
 from lorapcsma.simulation import RunAudit, Simulation, build_topology, run_scenario
 from lorapcsma.sweep import aloha_validation, run_sweep
-from lorapcsma.topology import build_vicinity
+from lorapcsma.topology import build_vicinity, load_device_file
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -413,6 +414,10 @@ def test_device_file_count_mismatch(tmp_path):
     cfg = RunConfig(n_devices=2, device_file=str(path))
     with pytest.raises(ConfigError, match="defines 1 devices"):
         run_scenario(cfg)
+    # The rule is the device file's, with its others.
+    message = f"n_devices=2 but {str(path)!r} defines 1 devices"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_device_file(path, cfg)
 
 
 def test_device_file_draws_shadowing(tmp_path):
@@ -820,6 +825,27 @@ def _raising(exc):
     return fail
 
 
+def _die_while_replying():
+    """Make this worker write half its reply and then be killed, as by the
+    OOM killer: the reply is a partial pickle."""
+
+    class DyingPipe:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def write(self, reply):
+            os.write(self.fd, reply[: len(reply) // 2])
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    os.fdopen = lambda fd, mode: DyingPipe(fd)  # this child never returns to pytest
+
+
 def _unpicklable_error(message):
     class LocalError(RuntimeError):  # a local class cannot be pickled
         pass
@@ -840,6 +866,12 @@ def _unpicklable_error(message):
         ),
         pytest.param(
             lambda: os.kill(os.getpid(), signal.SIGKILL), 1, "died without a result", id="killed"
+        ),
+        pytest.param(
+            _die_while_replying,
+            1,
+            "died without a result (exit code -9)",
+            id="killed-mid-reply",
         ),
     ],
 )

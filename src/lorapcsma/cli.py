@@ -89,6 +89,10 @@ def _cmd_validate_aloha(args) -> int:
         raise ConfigError("--g needs at least one offered-load value")
     if not phy.SF_MIN <= args.sf <= phy.SF_MAX:
         raise ConfigError(f"--sf must be in {phy.SF_MIN}..{phy.SF_MAX}, got {args.sf}")
+    if args.devices < 1:
+        raise ConfigError(f"--devices must be >= 1, got {args.devices}")
+    if not 0 < args.packet_times < float("inf"):
+        raise ConfigError(f"--packet-times must be positive and finite, got {args.packet_times}")
     cfg = RunConfig(
         n_devices=args.devices, mac="aloha", traffic="poisson", sf_set=(args.sf,), seed=args.seed
     )

@@ -35,39 +35,6 @@ _CHOICES = {
 }
 
 
-# What each scalar in a field annotation admits: a bool is no number here.
-_SCALAR_TYPES = {
-    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "bool": lambda v: isinstance(v, bool),
-    "str": lambda v: isinstance(v, str),
-    "None": lambda v: v is None,
-}
-
-
-def _admits(annotation: str, value) -> bool:
-    """Whether ``value`` matches a field annotation such as ``int``,
-    ``float | None`` or ``tuple[tuple[int, ...], ...]``; a tuple type
-    admits a tuple only, never a (mutable) list."""
-    for option in annotation.split(" | "):
-        if option.startswith("tuple["):
-            item = option[len("tuple[") : -len(", ...]")]
-            if isinstance(value, tuple) and all(_admits(item, v) for v in value):
-                return True
-        elif _SCALAR_TYPES[option](value):
-            return True
-    return False
-
-
-def _check_types(config) -> None:
-    """Refuse, naming the key, a field whose value its annotation does not
-    admit: say a float or a bool for an int, or a list for a tuple."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if not _admits(f.type, value):
-            raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """One run's scenario; immutable, and checked whenever built (``replace`` too)."""
@@ -128,11 +95,10 @@ class RunConfig:
 
     def validate(self) -> None:
         _check_types(self)
-        for f in fields(self):
-            value = getattr(self, f.name)
-            values = value if isinstance(value, tuple) else (value,)
-            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        for name, value in vars(self).items():
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ConfigError(f"{name} must be finite, got {value!r}")
         for key, allowed in _CHOICES.items():
             if getattr(self, key) not in allowed:
                 raise ConfigError(f"{key} must be one of {allowed}, got {getattr(self, key)!r}")
@@ -268,12 +234,11 @@ class SweepGrid:
         _check_types(self)
         # An empty list would fall back to the base config unnoticed, and a
         # repeated value would count one run twice.
-        for f in fields(self):
-            values = getattr(self, f.name)
+        for name, values in vars(self).items():
             if values == ():
-                raise ConfigError(f"{f.name} must be non-empty")
+                raise ConfigError(f"{name} must be non-empty")
             if values is not None and len(set(values)) != len(values):
-                raise ConfigError(f"{f.name} must not contain duplicates, got {values}")
+                raise ConfigError(f"{name} must not contain duplicates, got {values}")
         if any(seed < 0 for seed in self.seeds):
             raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
 
@@ -357,27 +322,54 @@ def _parse_sf_sets(value: str, key: str, lineno: int) -> tuple[tuple[int, ...], 
     return tuple(sets)
 
 
-# One parser per field annotation, so each key is declared once: as a
-# field of RunConfig or SweepGrid.  An annotation without a parser fails
-# here, at import.
-_ANNOTATION_PARSERS = {
-    "int": _parse_int,
-    "float": _parse_float,
-    "bool": _parse_bool,
-    "str": _parse_choice,
-    "str | None": lambda value, key, lineno: value,
-    "float | None": _parse_sensing,
-    "float | tuple[float, ...]": _parse_p,
-    "tuple[int, ...]": _parse_int_list,
-    "tuple[float, ...]": _parse_float_list,
-    "tuple[int, ...] | None": _parse_int_list,
-    "tuple[float, ...] | None": _parse_float_list,
-    "tuple[tuple[int, ...], ...] | None": _parse_sf_sets,
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _tuple_of(admits, v) -> bool:
+    return isinstance(v, tuple) and all(map(admits, v))
+
+
+# One row per field annotation: how a document value parses, and what a
+# value built from Python must be.  A bool is no number here, and a tuple
+# type admits a tuple only, never a (mutable) list.
+_ANNOTATIONS = {
+    "int": (_parse_int, _is_int),
+    "float": (_parse_float, _is_real),
+    "bool": (_parse_bool, lambda v: isinstance(v, bool)),
+    "str": (_parse_choice, lambda v: isinstance(v, str)),
+    "str | None": (lambda value, key, lineno: value, lambda v: v is None or isinstance(v, str)),
+    "float | None": (_parse_sensing, lambda v: v is None or _is_real(v)),
+    "float | tuple[float, ...]": (_parse_p, lambda v: _is_real(v) or _tuple_of(_is_real, v)),
+    "tuple[int, ...]": (_parse_int_list, lambda v: _tuple_of(_is_int, v)),
+    "tuple[float, ...]": (_parse_float_list, lambda v: _tuple_of(_is_real, v)),
+    "tuple[int, ...] | None": (_parse_int_list, lambda v: v is None or _tuple_of(_is_int, v)),
+    "tuple[float, ...] | None": (_parse_float_list, lambda v: v is None or _tuple_of(_is_real, v)),
+    "tuple[tuple[int, ...], ...] | None": (
+        _parse_sf_sets,
+        lambda v: v is None or _tuple_of(lambda cell: _tuple_of(_is_int, cell), v),
+    ),
 }
-_PARSERS = {
-    cls: {f.name: _ANNOTATION_PARSERS[f.type] for f in fields(cls)}
+# Each key is declared once, as a field of RunConfig or SweepGrid.  Its row,
+# name -> (annotation, parse, admits) in field order, is looked up here at
+# import (an annotation without a row fails), not for each config checked.
+_FIELDS = {
+    cls: {f.name: (f.type, *_ANNOTATIONS[f.type]) for f in fields(cls)}
     for cls in (RunConfig, SweepGrid)
 }
+
+
+def _check_types(config) -> None:
+    """Refuse, naming the key, a field whose value its annotation does not
+    admit: say a float or a bool for an int, or a list for a tuple."""
+    for name, (annotation, _, admits) in _FIELDS[type(config)].items():
+        value = getattr(config, name)
+        if not admits(value):
+            raise ConfigError(f"{name} must be of type {annotation}, got {value!r}")
 
 
 def _assign(text: str, cls, kind: str):
@@ -386,7 +378,7 @@ def _assign(text: str, cls, kind: str):
 
     ``kind`` names the document's keys in errors ("key" or "grid key").
     """
-    parsers = _PARSERS[cls]
+    rows = _FIELDS[cls]
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -395,11 +387,11 @@ def _assign(text: str, cls, kind: str):
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in parsers:
+        if key not in rows:
             raise ConfigError(f"line {lineno}: unknown {kind} {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate {kind} {key!r}")
-        values[key] = parsers[key](value, key, lineno)
+        values[key] = rows[key][1](value, key, lineno)
     return cls(**values)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from lorapcsma import phy
-from lorapcsma.config import ConfigError, RunConfig, parse_config, parse_grid
+from lorapcsma.config import _FIELDS, ConfigError, RunConfig, SweepGrid, parse_config, parse_grid
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lorapcsma"
@@ -107,6 +107,9 @@ def test_duplicate_key_rejected():
         ({"n_devices": 2, "sf_set": (8.0,)}, "sf_set must be of type tuple"),
         ({"n_devices": 1, "mac": "csma"}, "mac must be one of"),
         ({"n_devices": 1, "sf_set": ()}, "sf_set must be non-empty"),
+        # Every type is checked before any value is: the float seed is named,
+        # not the NaN run length of an earlier field.
+        ({"n_devices": 1, "sim_time_s": float("nan"), "seed": 1.5}, "seed must be of type int, got 1.5"),
         # An empty path would be read only at run time, as a directory.
         ("n_devices = 1\ndevice_file =\n", "device_file must name a file, got ''"),
         # Finite numbers that overflow later, in microseconds or in a detect
@@ -157,6 +160,51 @@ def test_invalid_values_are_named_errors(doc, match):
     # A document goes through the parser; a dict is RunConfig's keywords.
     with pytest.raises(ConfigError, match=match):
         parse_config(doc) if isinstance(doc, str) else RunConfig(**doc)
+
+
+def _built(cls, name, value):
+    keys = {"n_devices": 1} if cls is RunConfig else {}
+    return cls(**{**keys, name: value})
+
+
+def _with_a_bool(value):
+    """``value`` with its first innermost item replaced by a bool."""
+    return (_with_a_bool(value[0]), *value[1:]) if isinstance(value, tuple) else True
+
+
+def _fields(*words):
+    """Each field of RunConfig and SweepGrid, or those whose annotation
+    names one of ``words``."""
+    return [
+        pytest.param(cls, f, id=f.name)
+        for cls in (RunConfig, SweepGrid)
+        for f in fields(cls)
+        if not words or any(word in f.type for word in words)
+    ]
+
+
+@pytest.mark.parametrize("cls,field", _fields())
+def test_every_field_default_is_admitted(cls, field):
+    _, _, admits = _FIELDS[cls][field.name]
+    assert admits(field.default)
+
+
+@pytest.mark.parametrize("cls,field", _fields("int", "float"))
+def test_a_number_field_refuses_a_bool(cls, field):
+    message = f"{field.name} must be of type {field.type}, got True"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        _built(cls, field.name, True)
+
+
+@pytest.mark.parametrize("cls,field", _fields("tuple"))
+def test_a_tuple_field_refuses_a_list_and_a_tuple_holding_a_bool(cls, field):
+    # A type-valid tuple, as the document parser builds it.
+    _, parse, _ = _FIELDS[cls][field.name]
+    value = parse("{1, 2}", field.name, 1)
+    for bad in (list(value), _with_a_bool(value)):
+        message = f"{field.name} must be of type {field.type}, got {bad!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            _built(cls, field.name, bad)
 
 
 def test_per_device_p_list():

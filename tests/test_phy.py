@@ -4,7 +4,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import above_sensitivity
@@ -126,10 +126,15 @@ def test_path_loss_clamps_below_reference_distance():
 
 
 @given(st.floats(min_value=1.0, max_value=1e5), st.floats(min_value=1.0, max_value=1e5))
+@example(1e5, 99999.99999999999)
 @settings(max_examples=60, deadline=None)
 def test_path_loss_increasing_beyond_reference(d1, d2):
+    # log10 maps neighbouring floats to one value: 1e5 and 99999.99999999999
+    # both lose 195.69999999999996 dB.  So the loss never decreases, and it
+    # strictly increases past a relative step far above one ulp.
     lo, hi = sorted((d1, d2))
-    if hi > lo:
+    assert path_loss_db(hi, DEFAULTS) >= path_loss_db(lo, DEFAULTS)
+    if hi > lo * (1 + 1e-9):
         assert path_loss_db(hi, DEFAULTS) > path_loss_db(lo, DEFAULTS)
 
 

@@ -767,6 +767,12 @@ def test_cli_validate_aloha(tmp_path, capsys):
         (["--g", "0.5", "--sf", "13"], "--sf must be in 7..12, got 13"),
         (["--g", "abc"], "--g expects comma-separated numbers, got 'abc'"),
         (["--g", ","], "--g needs at least one offered-load value"),
+        # A bad device count or run length names its flag, not the config
+        # key it would become.
+        (["--g", "0.5", "--devices", "0"], "--devices must be >= 1, got 0"),
+        (["--g", "0.5", "--packet-times", "0"], "--packet-times must be positive and finite, got 0.0"),
+        (["--g", "0.5", "--packet-times", "-3"], "--packet-times must be positive and finite, got -3.0"),
+        (["--g", "0.5", "--packet-times", "nan"], "--packet-times must be positive and finite, got nan"),
     ],
 )
 def test_cli_validate_aloha_bad_argument_is_a_config_error(capsys, args, message):
